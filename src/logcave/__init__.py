@@ -48,7 +48,6 @@ from .solver import (  # noqa: F401
     IcmReport,
     IcmState,
     concave_majorant_slopes,
-    concave_majorant_slopes_minmax,
     fit,
     icm_candidate,
     initialize_normal,

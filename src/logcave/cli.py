@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -306,10 +307,27 @@ def build_parser():
     return parser
 
 
+# a grid value such as -3:3:121 or -1,2; argparse would read it as an option
+_NEGATIVE_GRID = re.compile(r"-[\d.]")
+
+
+def _join_grid_value(argv):
+    """Rewrite '--grid VALUE' as '--grid=VALUE' where VALUE starts with a
+    minus sign and a digit."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and _NEGATIVE_GRID.match(arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_grid_value(argv))
     except _UsageError as exc:
         print(f"logcave: {exc}", file=sys.stderr)
         return EXIT_USAGE

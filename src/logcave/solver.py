@@ -4,11 +4,12 @@ Each iteration replaces the concave objective by a diagonal quadratic
 surrogate at the current point and maximizes it over the cone of
 nonincreasing slopes.  That maximizer is the vector of left-hand slopes of
 the least concave majorant of the cumulative cloud built from the
-curvatures d_k and the values d_k*omega_k + b_k, computed here by a
-single-pass pooling algorithm.  A binary line search towards the surrogate
-maximizer guarantees strict ascent, and the intercept is restored from the
-unit-mass side condition at every trial point so that objective values are
-always compared on the constraint manifold.
+curvatures d_k and the values d_k*omega_k + b_k: a weighted isotonic
+regression, computed by scipy's pool-adjacent-violators routine.  A binary
+line search towards the surrogate maximizer guarantees strict ascent, and
+the intercept is restored from the unit-mass side condition at every trial
+point so that objective values are always compared on the constraint
+manifold.
 
 A fit run is single-threaded and deterministic; independent fits share no
 mutable state and may run concurrently.
@@ -17,6 +18,7 @@ mutable state and may run concurrently.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .errors import (
     DegenerateVariance,
@@ -91,8 +93,9 @@ def concave_majorant_slopes(d, v):
     cloud (sum_{h<=l} d_h, sum_{h<=l} v_h).
 
     Equivalently the weighted projection of v/d onto nonincreasing
-    sequences with weights d: pooled block means, computed in one pass.
-    Already-nonincreasing inputs are returned unchanged.
+    sequences with weights d, solved by scipy's pool-adjacent-violators
+    routine.  Strictly decreasing ratios v/d come back unchanged; runs of
+    equal ratios may be pooled, which moves them by rounding only.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -100,51 +103,7 @@ def concave_majorant_slopes(d, v):
         raise NonPositiveWeight("weights and values must be 1-D and aligned")
     if not np.all(d > 0):
         raise NonPositiveWeight("projection weights must be positive")
-
-    sum_d = []
-    sum_v = []
-    mean = []
-    count = []
-    for di, vi in zip(d.tolist(), v.tolist()):
-        sum_d.append(di)
-        sum_v.append(vi)
-        mean.append(vi / di)
-        count.append(1)
-        while len(mean) >= 2 and mean[-1] > mean[-2]:
-            dv = sum_v.pop()
-            dd = sum_d.pop()
-            c = count.pop()
-            mean.pop()
-            sum_v[-1] += dv
-            sum_d[-1] += dd
-            count[-1] += c
-            mean[-1] = sum_v[-1] / sum_d[-1]
-
-    return np.repeat(mean, count)
-
-
-def concave_majorant_slopes_minmax(d, v):
-    """Quadratic-time min-max form of the same projection:
-
-        out_i = min_{j<=i} max_{k>=i} (sum_{h=j}^{k} v_h) / (sum_{h=j}^{k} d_h)
-
-    Retained as a slow reference for cross-checking the pooling pass.
-    """
-    d = np.asarray(d, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.all(d > 0):
-        raise NonPositiveWeight("projection weights must be positive")
-    cd = np.concatenate(([0.0], np.cumsum(d)))
-    cv = np.concatenate(([0.0], np.cumsum(v)))
-    m = d.size
-    out = np.empty(m)
-    for i in range(m):
-        best = np.inf
-        for j in range(i + 1):
-            block = (cv[i + 1:] - cv[j]) / (cd[i + 1:] - cd[j])
-            best = min(best, float(np.max(block)))
-        out[i] = best
-    return out
+    return isotonic_regression(v / d, weights=d, increasing=False).x
 
 
 def _candidate_slopes(ws, omega):
@@ -303,16 +262,16 @@ def kkt_residual(omega, sample, block_tol=None,
     if block_tol is None:
         block_tol = 1e-8 * max(1.0, float(np.max(np.abs(slopes))))
     b = grad[1:]
-    residual = abs(float(grad[0]))
-    start = 0
-    for end in range(1, slopes.size + 1):
-        boundary = (end == slopes.size
-                    or slopes[end - 1] - slopes[end] > block_tol)
-        if boundary:
-            block = b[start:end]
-            residual = max(residual, abs(float(np.sum(block))))
-            if end - start > 1:
-                inner = np.cumsum(block[:-1])
-                residual = max(residual, float(np.max(inner)), 0.0)
-            start = end
-    return residual
+    starts = np.flatnonzero(slopes[:-1] - slopes[1:] > block_tol) + 1
+    starts = np.concatenate(([0], starts))
+    ends = np.append(starts[1:], b.size)
+    residual = max(abs(float(grad[0])),
+                   float(np.max(np.abs(np.add.reduceat(b, starts)))))
+    # prefix sums within blocks, from one running sum minus the sum of the
+    # blocks before; those block sums vanish at the solution, so little is
+    # lost to cancellation where the residual is small
+    total = np.cumsum(b)
+    offsets = np.concatenate(([0.0], total[starts[1:] - 1]))
+    inner = total - np.repeat(offsets, ends - starts)
+    inner[ends - 1] = -np.inf  # a block's full sum is checked above
+    return max(residual, float(np.max(inner)))

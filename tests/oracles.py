@@ -7,6 +7,8 @@ code paths it is used to verify.
 
 import numpy as np
 
+from logcave.errors import NonPositiveWeight
+
 
 def rho_of(t):
     """(e^t - 1)/t, elementwise, exact limit 1 at t = 0."""
@@ -111,23 +113,81 @@ def grid_search_loglik(knots, lo=-30.0, length=60.0, coarse=121, spacing=0.005):
     return best
 
 
+def concave_majorant_slopes_pooling(d, v):
+    """Weighted projection of v/d onto nonincreasing sequences with weights
+    d, by a single pass of pool-adjacent-violators in plain Python."""
+    d = np.asarray(d, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.all(d > 0):
+        raise NonPositiveWeight("projection weights must be positive")
+    sum_d = []
+    sum_v = []
+    mean = []
+    count = []
+    for di, vi in zip(d.tolist(), v.tolist()):
+        sum_d.append(di)
+        sum_v.append(vi)
+        mean.append(vi / di)
+        count.append(1)
+        while len(mean) >= 2 and mean[-1] > mean[-2]:
+            dv = sum_v.pop()
+            dd = sum_d.pop()
+            c = count.pop()
+            mean.pop()
+            sum_v[-1] += dv
+            sum_d[-1] += dd
+            count[-1] += c
+            mean[-1] = sum_v[-1] / sum_d[-1]
+    return np.repeat(mean, count)
+
+
 def project_nonincreasing(values):
     """Euclidean projection onto nonincreasing sequences (plain pooling)."""
-    v = list(np.asarray(values, float))
-    sums = []
-    counts = []
-    for x in v:
-        sums.append(x)
-        counts.append(1)
-        while len(sums) >= 2 and sums[-1] / counts[-1] > sums[-2] / counts[-2]:
-            s = sums.pop()
-            c = counts.pop()
-            sums[-1] += s
-            counts[-1] += c
-    out = []
-    for s, c in zip(sums, counts):
-        out.extend([s / c] * c)
-    return np.asarray(out)
+    values = np.asarray(values, float)
+    return concave_majorant_slopes_pooling(np.ones_like(values), values)
+
+
+def concave_majorant_slopes_minmax(d, v):
+    """Quadratic-time min-max form of the same projection:
+
+        out_i = min_{j<=i} max_{k>=i} (sum_{h=j}^{k} v_h) / (sum_{h=j}^{k} d_h)
+    """
+    d = np.asarray(d, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.all(d > 0):
+        raise NonPositiveWeight("projection weights must be positive")
+    cd = np.concatenate(([0.0], np.cumsum(d)))
+    cv = np.concatenate(([0.0], np.cumsum(v)))
+    m = d.size
+    out = np.empty(m)
+    for i in range(m):
+        best = np.inf
+        for j in range(i + 1):
+            block = (cv[i + 1:] - cv[j]) / (cd[i + 1:] - cd[j])
+            best = min(best, float(np.max(block)))
+        out[i] = best
+    return out
+
+
+def kkt_residual_blocks(grad, slopes, block_tol):
+    """KKT residual from the gradient (intercept first) at a feasible point,
+    one block of equal slopes at a time: the largest of the intercept
+    derivative, each block's absolute gradient sum, and the positive part
+    of the gradient prefix sums within each block."""
+    b = grad[1:]
+    residual = abs(float(grad[0]))
+    start = 0
+    for end in range(1, slopes.size + 1):
+        boundary = (end == slopes.size
+                    or slopes[end - 1] - slopes[end] > block_tol)
+        if boundary:
+            block = b[start:end]
+            residual = max(residual, abs(float(np.sum(block))))
+            if end - start > 1:
+                inner = np.cumsum(block[:-1])
+                residual = max(residual, float(np.max(inner)), 0.0)
+            start = end
+    return residual
 
 
 def projected_gradient_loglik(knots, start, iterations=20000, step0=0.05):

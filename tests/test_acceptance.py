@@ -18,6 +18,7 @@ from logcave.errors import NoAscent
 from logcave.solver import IcmState
 
 from oracles import (
+    concave_majorant_slopes_minmax,
     curvature_reference,
     grad_reference,
     grid_search_loglik,
@@ -79,7 +80,7 @@ def test_criterion_2_projection_equivalence():
             d = rng.uniform(0.05, 8.0, m)
             v = d * rng.normal(0.0, 3.0, m)
             fast = lc.concave_majorant_slopes(d, v)
-            slow = lc.concave_majorant_slopes_minmax(d, v)
+            slow = concave_majorant_slopes_minmax(d, v)
             assert np.max(np.abs(fast - slow)) < 1e-10
 
 
@@ -173,6 +174,7 @@ def trend_experiment():
     return table, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_5_consistency_trend(trend_experiment):
     with criterion(5, "Hellinger decreases from n=50 to n=1000, below 0.12"):
         table, _ = trend_experiment
@@ -183,6 +185,7 @@ def test_criterion_5_consistency_trend(trend_experiment):
             assert at_large < 0.12, f"{name}: mean at n=1000 is {at_large}"
 
 
+@pytest.mark.slow
 def test_criterion_6_table_bands():
     with criterion(6, "Monte Carlo means sit in the published-table bands"):
         spec50 = lc.SimulationSpec(
@@ -213,6 +216,7 @@ def test_criterion_7_peak_boundedness():
         assert medians[1000] <= medians[50] + 0.05, medians
 
 
+@pytest.mark.slow
 def test_criterion_8_performance(trend_experiment):
     with criterion(8, "single fit under 5s; trend experiment under 30min"):
         draws = lc.sample_true(lc.NORMAL, 80, 1000)

@@ -158,6 +158,35 @@ class TestEvalCommand:
         assert rows[1][1] == "0.0" and rows[1][2] == "-inf"
         assert float(rows[1][3]) == 1.0
 
+    def test_negative_linspace_grid_as_separate_argument(self, uniform_artifact,
+                                                         tmp_path):
+        out = tmp_path / "eval.csv"
+        code = cli.main(["eval", "--input", str(uniform_artifact),
+                         "--grid", "-3:3:121", "--output", str(out)])
+        assert code == 0
+        xs = [float(line.split(",")[0])
+              for line in out.read_text().splitlines()[1:]]
+        assert xs == pytest.approx(list(np.linspace(-3.0, 3.0, 121)))
+
+    def test_negative_list_grid_forms_agree(self, uniform_artifact, tmp_path):
+        texts = []
+        for grid_args in (["--grid", "-1,2"], ["--grid=-1,2"]):
+            out = tmp_path / "eval.csv"
+            code = cli.main(["eval", "--input", str(uniform_artifact),
+                             *grid_args, "--output", str(out)])
+            assert code == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert [line.split(",")[0] for line in texts[0].splitlines()[1:]] == [
+            "-1.0", "2.0"]
+
+    def test_negative_grid_in_a_fresh_process(self, uniform_artifact, tmp_path):
+        out = tmp_path / "eval.csv"
+        proc = run_cli(["eval", "--input", str(uniform_artifact),
+                        "--grid", "-3:3:121", "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 122
+
     def test_bad_grid_exit_code(self, uniform_artifact, tmp_path):
         code = cli.main(["eval", "--input", str(uniform_artifact),
                          "--grid", "1:0:5", "--output",

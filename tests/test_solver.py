@@ -8,7 +8,11 @@ from logcave.errors import NoAscent
 from logcave.objective import ObjectiveWorkspace
 from logcave.solver import IcmState, _line_search
 
-from oracles import grid_search_loglik, projected_gradient_loglik
+from oracles import (
+    grid_search_loglik,
+    kkt_residual_blocks,
+    projected_gradient_loglik,
+)
 
 TIGHT = lc.IcmConfig(phi_tolerance=1e-15, max_iterations=20000)
 
@@ -232,3 +236,60 @@ def test_theorem_boundedness_small_probe():
         fit, _ = lc.fit(normal_sample(100, 900 + seed))
         peaks.append(float(np.exp(fit.theta.max())))
     assert max(peaks) < 2.0
+
+
+class TestKktAgainstBlockLoop:
+    """The vectorized residual against the block-by-block loop oracle."""
+
+    @staticmethod
+    def _agree(slopes, sample, block_tol):
+        slopes = np.asarray(slopes, float)
+        omega = lc.OmegaVector(lc.omega1_from_constraint(slopes, sample),
+                               slopes)
+        fast = lc.kkt_residual(omega, sample, block_tol=block_tol)
+        slow = kkt_residual_blocks(lc.grad_phi(omega, sample), slopes,
+                                   block_tol)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12 * sample.n)
+        return fast
+
+    @staticmethod
+    def _sample(rng, n):
+        return lc.validate_sample(np.cumsum(rng.uniform(0.2, 1.0, n)))
+
+    def test_random_feasible_points_with_blocks(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 10, 200, 2000):
+            sample = self._sample(rng, n)
+            for _ in range(10):
+                # drops of zero make blocks of equal slopes
+                drops = rng.uniform(0.0, 0.05, n - 2)
+                drops[rng.uniform(size=n - 2) < 0.6] = 0.0
+                slopes = rng.normal(0.0, 0.3) + drops.sum() / 2 - np.concatenate(
+                    ([0.0], np.cumsum(drops)))
+                self._agree(slopes, sample, 1e-8)
+
+    def test_one_block_only(self):
+        rng = np.random.default_rng(42)
+        for n in (2, 5, 500):
+            sample = self._sample(rng, n)
+            self._agree(np.full(n - 1, -0.01), sample, 1e-8)
+
+    def test_all_distinct_slopes(self):
+        rng = np.random.default_rng(43)
+        for n in (3, 50, 1000):
+            sample = self._sample(rng, n)
+            slopes = 0.5 - np.cumsum(rng.uniform(0.01, 0.02, n - 1))
+            self._agree(slopes, sample, 1e-8)
+
+    def test_gaps_exactly_at_block_tol(self):
+        # a gap equal to block_tol does not split a block; a larger one does
+        rng = np.random.default_rng(44)
+        sample = self._sample(rng, 40)
+        slopes = 0.2 - 0.01 * np.arange(39)
+        slopes[10:20] = slopes[10]
+        slopes[15:20] -= 1e-9
+        block_tol = slopes[14] - slopes[15]
+        assert block_tol > 0
+        joined = self._agree(slopes, sample, block_tol)
+        split = self._agree(slopes, sample, np.nextafter(block_tol, 0.0))
+        assert joined != split
