@@ -85,16 +85,16 @@ def _rho_triple(t, series_threshold):
 
 
 def _rho0(t, series_threshold):
-    """rho alone; expm1/t is well-conditioned outside the series branch."""
-    out = np.empty_like(t)
+    """rho alone; expm1/t is well-conditioned outside the series branch.
+
+    The closed form runs over the whole array (t = 0 gives nan there), and
+    only the series entries are then overwritten.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.expm1(t) / t
     tiny = np.abs(t) < series_threshold
     if tiny.any():
         out[tiny] = _horner(_C0[:4], t[tiny])
-    rest = ~tiny
-    if rest.any():
-        x = t[rest]
-        with np.errstate(over="ignore"):
-            out[rest] = np.expm1(x) / x
     return out
 
 

@@ -9,7 +9,7 @@ intercept satisfies the side condition (mass exactly one),
 phi = log-likelihood - n.
 
 All operations are pure functions of their arguments and safe to call
-concurrently.
+concurrently; only a workspace's evaluation count is shared state.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,8 @@ class ObjectiveWorkspace:
 
     Precomputes the sample-dependent constants; everything that depends on
     omega is recomputed on each call, so instances stay valid across
-    arbitrary call sequences.
+    arbitrary call sequences.  The only state that changes is the count of
+    objective evaluations, ``phi_evaluations``.
     """
 
     sample: object
@@ -54,6 +55,7 @@ class ObjectiveWorkspace:
         # resolvable objective difference sets the solver's accuracy floor
         self._dx_hi = self.dx.astype(np.longdouble)
         self._lin_hi = self.linear_weights.astype(np.longdouble)
+        self.phi_evaluations = 0
 
     def theta(self, omega):
         return theta_from_omega(omega, self.sample)
@@ -102,14 +104,21 @@ class ObjectiveWorkspace:
         return grad, d
 
     def manifold_phi(self, slopes, dtype=np.longdouble):
-        """Objective at the given slopes with the intercept restored from
-        the side condition.
+        """(objective, intercept) at the given slopes, with the intercept
+        restored from the side condition.
+
+        omega_1 = -log sum_j e^{partial_j} rho(gap_j slope_j) gap_j, where
+        partial_j accumulates the slopes; the sum is shifted by its largest
+        exponent so arbitrarily steep slopes stay finite.  The objective is
+        -inf when the point overflows the exp scale.
 
         Line-search and stopping decisions compare these values.  With the
         extended-precision dtype the strict-ascent rule can resolve the
         tiny endgame gains that double rounding would otherwise drown; the
-        solver uses the fast double path until gains get small.
+        solver uses the fast double path until gains get small.  Every call
+        adds one to ``phi_evaluations``.
         """
+        self.phi_evaluations += 1
         if dtype is np.longdouble:
             dx, lin = self._dx_hi, self._lin_hi
         else:
@@ -123,25 +132,14 @@ class ObjectiveWorkspace:
                                       self.series_threshold))
         intercept = -(shift + np.log(total))
         if intercept + shift > THETA_CAP:
-            return -np.inf
+            return -np.inf, intercept
         # on the manifold the mass is 1 up to one rounding of exp(log(...))
         mass = np.exp(intercept + shift) * total
-        return self.n * intercept + lin @ s - self.n * mass
+        return self.n * intercept + lin @ s - self.n * mass, intercept
 
     def restore_intercept(self, slopes):
-        """Intercept making the density integrate to exactly one.
-
-        omega_1 = -log sum_j e^{partial_j} rho(gap_j slope_j) gap_j, where
-        partial_j accumulates the slopes; the sum is shifted by its largest
-        exponent so arbitrarily steep slopes stay finite.
-        """
-        partial = np.empty(self.n)
-        partial[0] = 0.0
-        np.cumsum(self.dx * slopes, out=partial[1:])
-        shift = float(np.max(partial))
-        total = float(np.sum(segment_masses(partial - shift, self.dx,
-                                            self.series_threshold)))
-        return -(shift + np.log(total))
+        """Intercept making the density integrate to exactly one."""
+        return self.manifold_phi(slopes, float)[1]
 
 
 def phi(omega, sample, series_threshold=SERIES_THRESHOLD):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import LogcaveError
 from .model import validate_sample
@@ -208,6 +207,8 @@ def hellinger_pdfs(f, g):
     if not hi > lo:
         return SQRT2
 
+    from scipy.integrate import quad  # kept off the package import path
+
     def integrand(x):
         return float(np.exp(0.5 * (f.log_pdf(x) + g.log_pdf(x))))
 
@@ -217,6 +218,8 @@ def hellinger_pdfs(f, g):
 
 def pdf_mass(density):
     """Quadrature check that a reference pdf integrates to one."""
+    from scipy.integrate import quad  # kept off the package import path
+
     value, _ = quad(lambda x: float(density.pdf(x)),
                     density.support[0], density.support[1],
                     epsabs=1e-12, limit=200)

@@ -5,20 +5,31 @@ surrogate at the current point and maximizes it over the cone of
 nonincreasing slopes.  That maximizer is the vector of left-hand slopes of
 the least concave majorant of the cumulative cloud built from the
 curvatures d_k and the values d_k*omega_k + b_k: a weighted isotonic
-regression, computed by scipy's pool-adjacent-violators routine.  A binary
-line search towards the surrogate maximizer guarantees strict ascent, and
-the intercept is restored from the unit-mass side condition at every trial
-point so that objective values are always compared on the constraint
-manifold.
+regression, computed by scipy's pool-adjacent-violators routine.
+
+A line search over the steps 2^-k towards the surrogate maximizer
+guarantees strict ascent.  It accepts the largest such step that increases
+the objective, as backtracking from step 1 would, but starts at the step
+accepted in the previous iteration: it doubles from there while the
+objective still increases, and halves otherwise.  The objective is concave
+along the segment, so the increasing steps form an interval and both
+searches find the same step; only the number of evaluations differs.
+Rounding can add isolated increasing steps far below the accepted one,
+with gains under an ulp of phi; a search started among them may stop
+there, still with strict ascent.
+
+The intercept is restored from the unit-mass side condition at every trial
+point, so objective values are always compared on the constraint manifold,
+and the accepted trial's intercept becomes the new iterate's.
 
 A fit run is single-threaded and deterministic; independent fits share no
 mutable state and may run concurrently.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .errors import (
     DegenerateVariance,
@@ -69,6 +80,7 @@ class IcmReport:
     iterations: int
     kkt_residual: float
     initializer: str = "normal"
+    phi_evaluations: int = 0  # objective evaluations, initializer included
 
 
 def initialize_normal(sample):
@@ -78,13 +90,16 @@ def initialize_normal(sample):
     nonincreasing, and the intercept is restored from the side condition,
     so the result is feasible.
     """
-    x = sample.knots
+    return _normal_start(ObjectiveWorkspace(sample))
+
+
+def _normal_start(ws):
+    x = ws.sample.knots
     mean = float(np.mean(x))
     var = float(np.var(x, ddof=1))
     if not var > 0.0:
         raise DegenerateVariance("sample variance is zero")
     slopes = (mean - 0.5 * (x[1:] + x[:-1])) / var
-    ws = ObjectiveWorkspace(sample)
     return OmegaVector(ws.restore_intercept(slopes), slopes)
 
 
@@ -97,6 +112,9 @@ def concave_majorant_slopes(d, v):
     routine.  Strictly decreasing ratios v/d come back unchanged; runs of
     equal ratios may be pooled, which moves them by rounding only.
     """
+    # imported here so that loading the package does not load scipy
+    from scipy.optimize import isotonic_regression
+
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
     if d.shape != v.shape or d.ndim != 1:
@@ -127,23 +145,41 @@ def icm_candidate(state, sample, config=None):
 
 
 def _line_search(ws, slopes0, phi0, candidate_slopes, max_halvings,
-                 dtype=np.longdouble):
-    """Engine shared by line_search and the driver.  Objective values are
-    compared on the constraint manifold in the given precision."""
+                 dtype=np.longdouble, start=0):
+    """Engine shared by line_search and _run_icm: the largest step 2^-k,
+    k <= max_halvings, whose trial point increases phi above phi0.
+
+    Returns (slopes, intercept, phi, k) of the accepted trial; objective
+    values are compared on the constraint manifold in the given precision.
+    The search starts at k = start.  If that step increases phi it doubles
+    while phi still increases; otherwise it halves, and before giving up
+    tries the larger steps not yet tried, so that rounding noise at tiny
+    steps cannot end a search that backtracking from step 1 would finish.
+    """
     direction = candidate_slopes - slopes0
-    step = 1.0
-    for halving in range(max_halvings + 1):
-        if halving == 0:
+
+    def ascent(k):
+        if k == 0:
             trial = candidate_slopes
         else:
-            trial = slopes0 + step * direction
             # the convex combination of two feasible slope vectors can lose
             # monotonicity by one ulp; clamp it back
-            trial = np.minimum.accumulate(trial)
-        trial_phi = ws.manifold_phi(trial, dtype)
-        if trial_phi > phi0:
-            return trial, step, trial_phi
-        step *= 0.5
+            trial = np.minimum.accumulate(slopes0 + 0.5 ** k * direction)
+        trial_phi, intercept = ws.manifold_phi(trial, dtype)
+        return (trial, intercept, trial_phi, k) if trial_phi > phi0 else None
+
+    accepted = ascent(start)
+    if accepted is not None:
+        for k in range(start - 1, -1, -1):
+            larger = ascent(k)
+            if larger is None:
+                break
+            accepted = larger
+        return accepted
+    for k in chain(range(start + 1, max_halvings + 1), range(start)):
+        accepted = ascent(k)
+        if accepted is not None:
+            return accepted
     raise NoAscent(f"no objective increase within {max_halvings} halvings")
 
 
@@ -156,10 +192,11 @@ def line_search(state, candidate, config, sample):
     nonincreasing slopes (the cone is convex)."""
     ws = ObjectiveWorkspace(sample, config.series_threshold,
                             config.curvature_floor)
-    slopes, step, _ = _line_search(ws, state.omega.slopes,
-                                   np.longdouble(state.phi),
-                                   candidate.slopes, config.max_halvings)
-    return OmegaVector(float(ws.restore_intercept(slopes)), slopes), step
+    slopes, intercept, _, k = _line_search(ws, state.omega.slopes,
+                                           np.longdouble(state.phi),
+                                           candidate.slopes,
+                                           config.max_halvings)
+    return OmegaVector(float(intercept), slopes), 0.5 ** k
 
 
 def _run_icm(ws, omega0, config):
@@ -167,36 +204,37 @@ def _run_icm(ws, omega0, config):
     # stopping rule would fire, then confirm and finish in extended
     # precision so the endgame is not limited by double rounding
     dtype = float
-    phi_value = ws.manifold_phi(omega0.slopes, dtype)
+    phi_value, _ = ws.manifold_phi(omega0.slopes, dtype)
     state = IcmState(omega0, float(phi_value), 0)
     trace = [float(phi_value)]
     steps = []
     converged = False
+    halvings = 0
     for iteration in range(1, config.max_iterations + 1):
         try:
             candidate = _candidate_slopes(ws, state.omega)
-            slopes, step, new_phi = _line_search(ws, state.omega.slopes,
-                                                 phi_value, candidate,
-                                                 config.max_halvings, dtype)
+            slopes, intercept, new_phi, halvings = _line_search(
+                ws, state.omega.slopes, phi_value, candidate,
+                config.max_halvings, dtype, start=halvings)
         except NoAscent:
             if dtype is float:
                 dtype = np.longdouble
-                phi_value = ws.manifold_phi(state.omega.slopes, dtype)
+                phi_value, _ = ws.manifold_phi(state.omega.slopes, dtype)
                 continue
             converged = True
             break
         except StepFailure:
             break
-        steps.append(step)
+        steps.append(0.5 ** halvings)
         trace.append(float(new_phi))
         previous = phi_value
         phi_value = new_phi
-        omega = OmegaVector(float(ws.restore_intercept(slopes)), slopes)
-        state = IcmState(omega, float(new_phi), iteration)
+        state = IcmState(OmegaVector(float(intercept), slopes),
+                         float(new_phi), iteration)
         if abs(new_phi - previous) <= config.phi_tolerance * (1.0 + abs(previous)):
             if dtype is float:
                 dtype = np.longdouble
-                phi_value = ws.manifold_phi(slopes, dtype)
+                phi_value, _ = ws.manifold_phi(slopes, dtype)
                 continue
             converged = True
             break
@@ -213,8 +251,7 @@ def fit(sample, config=None):
     config = config or IcmConfig()
     ws = ObjectiveWorkspace(sample, config.series_threshold,
                             config.curvature_floor)
-    state, trace, steps, converged = _run_icm(ws, initialize_normal(sample),
-                                              config)
+    state, trace, steps, converged = _run_icm(ws, _normal_start(ws), config)
     initializer = "normal"
     if not steps:
         # the normal start made no progress at all; retry from the uniform
@@ -238,6 +275,7 @@ def fit(sample, config=None):
         kkt_residual=kkt_residual(state.omega, sample,
                                   series_threshold=config.series_threshold),
         initializer=initializer,
+        phi_evaluations=ws.phi_evaluations,
     )
     return fit_obj, report
 

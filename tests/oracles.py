@@ -7,7 +7,7 @@ code paths it is used to verify.
 
 import numpy as np
 
-from logcave.errors import NonPositiveWeight
+from logcave.errors import NoAscent, NonPositiveWeight
 
 
 def rho_of(t):
@@ -16,6 +16,23 @@ def rho_of(t):
     out = np.ones_like(t)
     nz = t != 0
     out[nz] = np.expm1(t[nz]) / t[nz]
+    return out
+
+
+def rho0_masked(t, series_threshold):
+    """rho with the series and closed-form entries gathered and scattered
+    separately: the cubic Taylor polynomial for |t| < series_threshold,
+    expm1(t)/t elsewhere."""
+    out = np.empty_like(t)
+    tiny = np.abs(t) < series_threshold
+    if tiny.any():
+        x = t[tiny]
+        out[tiny] = 1.0 + x * (1.0 / 2 + x * (1.0 / 6 + x * (1.0 / 24)))
+    rest = ~tiny
+    if rest.any():
+        x = t[rest]
+        with np.errstate(over="ignore"):
+            out[rest] = np.expm1(x) / x
     return out
 
 
@@ -224,6 +241,31 @@ def projected_gradient_loglik(knots, start, iterations=20000, step0=0.05):
         if not moved:
             break
     return value
+
+
+def step_trial(slopes0, candidate_slopes, k):
+    """Trial point at step 2^-k towards the candidate: the candidate itself
+    at step 1, otherwise the convex combination clamped back onto the
+    monotone cone."""
+    if k == 0:
+        return candidate_slopes
+    return np.minimum.accumulate(
+        slopes0 + 0.5 ** k * (candidate_slopes - slopes0))
+
+
+def backtracking_line_search(ws, slopes0, phi0, candidate_slopes,
+                             max_halvings, dtype=np.longdouble):
+    """Line search from step 1: the first of the steps 1, 1/2, 1/4, ...
+    (at most max_halvings halvings) whose trial point increases the
+    workspace's manifold objective above phi0.
+
+    Returns (slopes, intercept, phi, halvings)."""
+    for k in range(max_halvings + 1):
+        trial = step_trial(slopes0, candidate_slopes, k)
+        trial_phi, intercept = ws.manifold_phi(trial, dtype)
+        if trial_phi > phi0:
+            return trial, intercept, trial_phi, k
+    raise NoAscent(f"no objective increase within {max_halvings} halvings")
 
 
 def quad_pdf(fit, lo, hi):

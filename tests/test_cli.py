@@ -22,6 +22,15 @@ def run_cli(argv, env=None):
                           capture_output=True, text=True, env=full_env)
 
 
+def test_import_does_not_load_scipy():
+    # eval and sample never fit, so they need not pay for importing scipy
+    code = ("import sys, logcave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestIngest:
     def test_plain_numbers(self, tmp_path):
         p = tmp_path / "data.txt"

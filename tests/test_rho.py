@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from logcave import rho_family
-from logcave._rho import SERIES_THRESHOLD
+from logcave._rho import SERIES_THRESHOLD, _rho0
+
+from oracles import rho0_masked
 
 mpmath.mp.dps = 40
 
@@ -76,3 +78,18 @@ def test_derivative_consistency_by_finite_differences():
         r0, r1, r2 = rho_family(t)
         assert (r0p - r0m) / (2 * h) == pytest.approx(r1, rel=1e-8)
         assert (r1p - r1m) / (2 * h) == pytest.approx(r2, rel=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_rho0_matches_masked_evaluation_bit_for_bit(dtype):
+    tau = dtype(SERIES_THRESHOLD)
+    edges = [0.0, 0.25, -0.25, 1e-300, -1e-300, 690.0, -745.0]
+    for edge in (tau, -tau):
+        edges += [edge, np.nextafter(edge, dtype(0)),
+                  np.nextafter(edge, 2 * edge)]
+    t = np.concatenate((np.array(edges, dtype=dtype),
+                        np.random.default_rng(3).normal(0, 2, 500).astype(dtype),
+                        np.linspace(-3e-4, 3e-4, 301, dtype=dtype)))
+    got = _rho0(t, SERIES_THRESHOLD)
+    want = rho0_masked(t, SERIES_THRESHOLD)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

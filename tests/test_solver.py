@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import logcave as lc
+from logcave import solver
 from logcave.errors import NoAscent
 from logcave.objective import ObjectiveWorkspace
 from logcave.solver import IcmState, _line_search
 
 from oracles import (
+    backtracking_line_search,
     grid_search_loglik,
     kkt_residual_blocks,
     projected_gradient_loglik,
+    step_trial,
 )
 
 TIGHT = lc.IcmConfig(phi_tolerance=1e-15, max_iterations=20000)
@@ -83,16 +86,17 @@ class TestLineSearch:
         sample = lc.validate_sample([0.0, 1.0])
         ws = ObjectiveWorkspace(sample)
         current = np.array([0.8])
-        phi0 = ws.manifold_phi(current)
+        phi0, _ = ws.manifold_phi(current)
         overshoot = None
         for delta in np.arange(1.6, 12.0, 0.05):
             trial = np.array([0.8 - delta])
-            if ws.manifold_phi(trial) <= phi0:
+            if ws.manifold_phi(trial)[0] <= phi0:
                 overshoot = trial
                 break
         assert overshoot is not None
-        slopes, step, new_phi = _line_search(ws, current, phi0, overshoot, 60)
-        assert step == 0.5
+        slopes, _, new_phi, halvings = _line_search(ws, current, phi0,
+                                                    overshoot, 60)
+        assert halvings == 1
         assert new_phi > phi0
 
     def test_zero_direction_raises_no_ascent(self):
@@ -102,6 +106,123 @@ class TestLineSearch:
         state = IcmState(omega, lc.phi(omega, sample))
         with pytest.raises(NoAscent):
             lc.line_search(state, omega, config, sample)
+
+
+class TestWarmStartedLineSearch:
+    """The search started at any step against backtracking from step 1."""
+
+    @staticmethod
+    def _searches(ws, slopes0, candidate, dtype, max_halvings=60):
+        """Run every start; return whether the increasing steps form an
+        interval, and backtracking's step (None when no step increases)."""
+        phi0, _ = ws.manifold_phi(slopes0, dtype)
+        increasing = [
+            k for k in range(max_halvings + 1)
+            if ws.manifold_phi(step_trial(slopes0, candidate, k),
+                               dtype)[0] > phi0]
+        if not increasing:
+            for start in range(max_halvings + 1):
+                with pytest.raises(NoAscent):
+                    _line_search(ws, slopes0, phi0, candidate, max_halvings,
+                                 dtype, start=start)
+            return True, None
+        want = backtracking_line_search(ws, slopes0, phi0, candidate,
+                                        max_halvings, dtype)
+        interval = increasing[-1] - increasing[0] == len(increasing) - 1
+        for start in range(max_halvings + 1):
+            got = _line_search(ws, slopes0, phi0, candidate, max_halvings,
+                               dtype, start=start)
+            assert got[3] in increasing and got[2] > phi0
+            if interval:
+                assert got[3] == want[3]
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1] and got[2] == want[2]
+        return interval, want[3]
+
+    def test_every_start_matches_backtracking_at_random_points(self):
+        # concavity along the segment makes the increasing steps an
+        # interval, and then every start finds backtracking's step.  Double
+        # rounding can add isolated increasing steps far below the step
+        # accepted (gains under one ulp of phi); a start among those may
+        # return one of them, still an ascent step.
+        rng = np.random.default_rng(71)
+        accepted = set()
+        intervals = []
+        for n in (5, 40, 120):
+            sample = lc.validate_sample(np.cumsum(rng.uniform(0.1, 1.0, n)))
+            ws = ObjectiveWorkspace(sample)
+            for _ in range(3):
+                slopes0 = np.sort(rng.normal(0.0, 1.0, n - 1))[::-1].copy()
+                omega = lc.OmegaVector(ws.restore_intercept(slopes0), slopes0)
+                icm = solver._candidate_slopes(ws, omega)
+                # stretching the ICM direction moves the accepted step
+                # down the ladder; a random feasible point mostly fails
+                targets = [np.minimum.accumulate(slopes0 + c * (icm - slopes0))
+                           for c in (1.0, 2.0 ** 6, 2.0 ** 14)]
+                targets.append(np.sort(rng.normal(0.0, 1.0, n - 1))[::-1])
+                for candidate in targets:
+                    for dtype in (float, np.longdouble):
+                        interval, k = self._searches(ws, slopes0, candidate,
+                                                     dtype)
+                        intervals.append(interval)
+                        accepted.add(k)
+        # the corpus reaches the unit step, deep halvings and no ascent at
+        # all, and most of its points have an interval of increasing steps
+        assert {0, None} <= accepted
+        assert max(k for k in accepted if k is not None) >= 14
+        assert np.mean(intervals) > 0.75
+
+    @staticmethod
+    def _fit_pair(monkeypatch, sample, config=None):
+        fast = lc.fit(sample, config)
+
+        def oracle(ws, slopes0, phi0, candidate, max_halvings,
+                   dtype=np.longdouble, start=0):
+            return backtracking_line_search(ws, slopes0, phi0, candidate,
+                                            max_halvings, dtype)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_line_search", oracle)
+            slow = lc.fit(sample, config)
+        return fast, slow
+
+    @pytest.mark.parametrize("n, max_iterations", [(25, 1000), (200, 1000),
+                                                   (2000, 50)])
+    def test_whole_fits_match_backtracking(self, monkeypatch, n,
+                                           max_iterations):
+        config = lc.IcmConfig(max_iterations=max_iterations)
+        for index, density in enumerate(lc.REFERENCE_DENSITIES.values()):
+            draws = lc.sample_true(
+                density, np.random.SeedSequence(4, spawn_key=(index, n)), n)
+            (fit_a, rep_a), (fit_b, rep_b) = self._fit_pair(
+                monkeypatch, lc.validate_sample(draws), config)
+            assert np.array_equal(rep_a.step_sizes, rep_b.step_sizes)
+            assert np.array_equal(rep_a.phi_trace, rep_b.phi_trace)
+            assert np.array_equal(fit_a.theta, fit_b.theta)
+
+    def test_evaluations_per_iteration_stay_low(self, monkeypatch):
+        # large samples never accept the unit step; restarting every search
+        # at step 1 costs about 7.6 evaluations per iteration here
+        draws = lc.sample_true(lc.DOUBLE_EXPONENTIAL,
+                               np.random.SeedSequence(5, spawn_key=(5000,)),
+                               5000)
+        sample = lc.validate_sample(draws)
+        config = lc.IcmConfig(max_iterations=100)
+        calls = []
+        counted = ObjectiveWorkspace.manifold_phi
+
+        def counting(ws, *args, **kwargs):
+            calls.append(1)
+            return counted(ws, *args, **kwargs)
+
+        monkeypatch.setattr(ObjectiveWorkspace, "manifold_phi", counting)
+        (_, report), (_, restarted) = self._fit_pair(monkeypatch, sample,
+                                                     config)
+        assert report.iterations == restarted.iterations == 100
+        assert report.phi_evaluations < 4.5 * report.iterations
+        assert restarted.phi_evaluations > 6.0 * restarted.iterations
+        # the report counts every objective evaluation of the fit
+        assert report.phi_evaluations + restarted.phi_evaluations == len(calls)
 
 
 class TestFit:
