@@ -2,9 +2,11 @@
 
 The estimator maximizes the empirical log-likelihood over densities whose
 logarithm is concave.  The maximizer is piecewise log-linear with knots at
-the order statistics, found by an iterative concave majorant algorithm in
-the slope parametrization.  A Monte Carlo harness measures Hellinger
-convergence against known log-concave densities.
+the order statistics.  ``fit`` computes it exactly with an active-set
+method over the kinks, certified by the Duembgen-Rufibach optimality
+conditions; ``fit_icm`` runs the paper's iterative concave majorant
+algorithm in the slope parametrization.  A Monte Carlo harness measures
+Hellinger convergence against known log-concave densities.
 """
 
 __version__ = "0.1.0"
@@ -49,6 +51,7 @@ from .solver import (  # noqa: F401
     IcmState,
     concave_majorant_slopes,
     fit,
+    fit_icm,
     icm_candidate,
     initialize_normal,
     kkt_residual,

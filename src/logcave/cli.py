@@ -259,9 +259,12 @@ def _add_common(parser):
                         help="RNG seed (falls back to LOGCAVE_SEED, then "
                              f"{DEFAULT_SEED})")
     parser.add_argument("--tolerance", type=float, default=1e-8,
-                        help="relative objective tolerance for stopping")
+                        help="optimality certificate tolerance: largest "
+                             "directional derivative relative to the sample "
+                             "range (floored at 1e-12)")
     parser.add_argument("--max-iter", type=int, default=1000,
-                        help="solver iteration cap")
+                        help="cap on the solver's outer (kink add/drop) "
+                             "iterations")
 
 
 def build_parser():

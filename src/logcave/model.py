@@ -4,8 +4,8 @@ The estimator works on the log scale: theta_i is the log-density at knot
 x_i, and the density is the exponential of the piecewise-linear
 interpolation of theta, identically zero outside [x_1, x_n].  The
 equivalent slope parametrization (intercept omega_1 = theta_1 and segment
-slopes omega_j) is what the solver optimizes over, because log-concavity
-is then the simple ordering omega_2 >= ... >= omega_n.
+slopes omega_j) is what the ICM solver optimizes over, because
+log-concavity is then the simple ordering omega_2 >= ... >= omega_n.
 """
 
 from dataclasses import dataclass, field

@@ -1,7 +1,28 @@
-"""Iterative concave majorant solver for the log-concave NPMLE.
+"""Solvers for the log-concave NPMLE: an exact active-set method (``fit``)
+and the paper's iterative concave majorant algorithm (``fit_icm``).
 
-Each iteration replaces the concave objective by a diagonal quadratic
-surrogate at the current point and maximizes it over the cone of
+``fit`` works on the log-density theta at the knots.  Between kinks theta
+is linear, so over a set K of kink indices (always holding both end
+knots) the objective depends only on the values eta at K:
+
+    L(eta) = c.eta - sum_l D_l e^{eta_l} rho(eta_{l+1} - eta_l),
+
+with D_l the block lengths and c the weights the observations put on each
+kink's hat function.  Its Hessian is tridiagonal, so a Newton step costs
+O(|K|).  The active-set iteration (Duembgen, Huesler & Rufibach, "Active
+set and EM algorithms for log-concave densities based on complete and
+censored data", arXiv:0707.4643) maximizes L over K; when the maximizer is
+not concave it steps towards it as far as concavity allows and drops the
+kinks that became tight, and otherwise it adds the knot with the largest
+directional derivative along -(x - x_j)_+.  When no such derivative
+exceeds the tolerance the fit is the MLE to that tolerance: that is the
+Duembgen-Rufibach characterization (Bernoulli 15(1), 2009), and the
+largest derivative relative to the range is reported as the certificate.
+The fit runs on standardized data, so its tolerances are scale-free and
+its result is affine-equivariant.
+
+``fit_icm`` replaces the concave objective at each iteration by a diagonal
+quadratic surrogate at the current point and maximizes it over the cone of
 nonincreasing slopes.  That maximizer is the vector of left-hand slopes of
 the least concave majorant of the cumulative cloud built from the
 curvatures d_k and the values d_k*omega_k + b_k: a weighted isotonic
@@ -38,15 +59,41 @@ from .errors import (
     NonPositiveWeight,
     StepFailure,
 )
+from ._rho import segment_masses, segment_triples
 from .model import LogConcaveFit, OmegaVector, theta_from_omega
 from .objective import CURVATURE_FLOOR, SERIES_THRESHOLD, ObjectiveWorkspace
+
+# certificate tolerances below this are taken as this: the directional
+# derivatives are sums of rounded masses and cannot resolve much less
+CERTIFICATE_FLOOR = 1e-12
+
+# Newton over the kink values takes full steps without comparing objective
+# values once the decrement g.H^-1.g (objective per observation,
+# standardized units) is below _UNCHECKED_DECREMENT: gains that small are
+# too small for the values to resolve, and the iteration is well inside the
+# region where Newton converges quadratically.  It stops after a step with
+# a decrement below _DECREMENT_FLOOR, or when the decrement stops shrinking.
+_DECREMENT_FLOOR = 1e-20
+_UNCHECKED_DECREMENT = 1e-12
+_MAX_NEWTON_STEPS = 100
+
+# a kink whose slope change is above -_CONCAVITY_SLACK * (largest |slope|,
+# at least 1) counts as concave.  Smaller violations are rounding of a
+# kink that is almost straight; clamping them costs the objective only to
+# second order, since the Newton solution is stationary over those kinks.
+_CONCAVITY_SLACK = 1e-10
 
 
 @dataclass
 class IcmConfig:
-    """Solver knobs.  The stopping rule accepts two consecutive objective
-    values within phi_tolerance relatively; halvings bound the binary line
-    search."""
+    """Solver knobs.
+
+    For ``fit``, phi_tolerance is the certificate tolerance (floored at
+    1e-12), max_iterations caps the outer add/drop iterations and
+    max_halvings the step halvings of each Newton step.  For ``fit_icm``,
+    the stopping rule accepts two consecutive objective values within
+    phi_tolerance relatively, and halvings bound the binary line search.
+    """
 
     phi_tolerance: float = 1e-8
     max_iterations: int = 1000
@@ -72,7 +119,19 @@ class IcmState:
 
 @dataclass
 class IcmReport:
-    """Iteration diagnostics for one solver run."""
+    """Iteration diagnostics for one solver run.
+
+    phi_trace holds the objective at the start and after each iteration
+    (log-likelihood - n on the unit-mass manifold).  For ``fit`` an
+    iteration is one Newton solve over the current kinks and its step size
+    the fraction of the way to that solution taken (1.0 when no kink was
+    dropped); for ``fit_icm`` it is one line search.  certificate is the
+    largest directional derivative along -(x - x_j)_+ relative to the
+    sample range, zero at the MLE, for the returned fit.  initializer is
+    ICM's starting point ("normal", or "uniform" after a restart); the
+    active set's is "linear": it starts from the uniform density, and its
+    first iterate is the best log-linear one.
+    """
 
     phi_trace: np.ndarray
     step_sizes: np.ndarray
@@ -81,6 +140,10 @@ class IcmReport:
     kkt_residual: float
     initializer: str = "normal"
     phi_evaluations: int = 0  # objective evaluations, initializer included
+    certificate: float = 0.0
+    newton_steps: int = 0
+    kinks_added: int = 0
+    kinks_dropped: int = 0
 
 
 def initialize_normal(sample):
@@ -241,12 +304,14 @@ def _run_icm(ws, omega0, config):
     return state, trace, steps, converged
 
 
-def fit(sample, config=None):
+def fit_icm(sample, config=None):
     """Run the iterative concave majorant algorithm on a validated sample.
 
     Returns (LogConcaveFit, IcmReport).  Failure to converge within
     max_iterations is soft: the best iterate is still returned, with the
-    report's converged flag false.
+    report's converged flag false.  Its stopping rule is on the relative
+    objective change, so ``converged`` does not mean the fit is near the
+    MLE; the report's certificate measures that.
     """
     config = config or IcmConfig()
     ws = ObjectiveWorkspace(sample, config.series_threshold,
@@ -276,6 +341,242 @@ def fit(sample, config=None):
                                   series_threshold=config.series_threshold),
         initializer=initializer,
         phi_evaluations=ws.phi_evaluations,
+        certificate=_certificate(
+            _directional_derivatives(theta, sample.gaps,
+                                     config.series_threshold),
+            sample.gaps, _kinks_of(state.omega.slopes)),
+    )
+    return fit_obj, report
+
+
+def _kinks_of(slopes):
+    """End knots and the knots where the slope drops by more than 1e-8
+    of the largest slope magnitude."""
+    drop = slopes[:-1] - slopes[1:] > 1e-8 * float(np.max(np.abs(slopes)))
+    return np.concatenate(([0], np.flatnonzero(drop) + 1, [slopes.size]))
+
+
+def _directional_derivatives(theta, gaps, series_threshold):
+    """Derivative of the objective per observation along -(x - x_j)_+ at
+    every knot j, for the density with knot log-densities theta.
+
+    D_j = sum_{k>=j} gap_k (m1_k + T_{k+1} - W_{k+1}), with T and W the
+    model and empirical mass at or right of knot k+1.  The MLE has
+    D_j <= 0 everywhere, with equality at its kinks.
+    """
+    n = theta.size
+    m0, m1, _ = segment_triples(theta, gaps, series_threshold)
+    model_tail = np.cumsum(m0[::-1])[::-1]
+    model_tail = np.append(model_tail[1:], 0.0)
+    empirical_tail = np.arange(n - 1, 0, -1) / n
+    terms = gaps * (m1 + model_tail - empirical_tail)
+    return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+
+
+def _certificate(derivatives, gaps, kinks):
+    """Largest violation of the Duembgen-Rufibach conditions relative to
+    the range: a positive D_j anywhere, or a nonzero one at a kink (or an
+    end knot), where a negative D_j means the kink should shrink."""
+    worst = max(float(np.max(derivatives)), float(np.max(-derivatives[kinks])))
+    return worst / float(np.sum(gaps))
+
+
+def _kink_system(u, gaps, kinks):
+    """(c, D) of the objective over the values at the kinks: the weight
+    each kink's hat function collects from the observations, and the block
+    lengths.  u are the knot positions from the left end."""
+    n = u.size
+    lengths = np.diff(kinks)
+    blocks = np.add.reduceat(gaps, kinks[:-1])
+    block = np.repeat(np.arange(lengths.size), lengths)  # knots 0..n-2
+    right = (u[:-1] - np.repeat(u[kinks[:-1]], lengths)) / np.repeat(blocks,
+                                                                    lengths)
+    c = (np.bincount(block, 1.0 - right, minlength=kinks.size)
+         + np.bincount(block + 1, right, minlength=kinks.size))
+    c[-1] += 1.0
+    return c / n, blocks
+
+
+def _kink_objective(eta, c, blocks, series_threshold):
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = c @ eta - np.sum(segment_masses(eta, blocks,
+                                                series_threshold))
+    return value if np.isfinite(value) else -np.inf
+
+
+def _newton(eta, c, blocks, config):
+    """Maximizer of the kink objective by Newton's method with step
+    halving, from eta; returns (maximizer, objective, Newton steps).
+
+    Steps are accepted on a strict increase only: accepting an equal value
+    lets rounding noise keep the iteration going without progress."""
+    st = config.series_threshold
+    value = _kink_objective(eta, c, blocks, st)
+    steps = 0
+    last = np.inf
+    while steps < _MAX_NEWTON_STEPS:
+        m0, m1, m2 = segment_triples(eta, blocks, st)
+        grad = c.copy()
+        grad[:-1] -= m0 - m1
+        grad[1:] -= m1
+        diag = np.zeros(eta.size)
+        diag[:-1] += m0 - 2.0 * m1 + m2
+        diag[1:] += m2
+        off = m1 - m2
+        hessian = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        try:
+            delta = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            break
+        decrement = float(grad @ delta)
+        if not decrement > 0.0:
+            break
+        if decrement < _UNCHECKED_DECREMENT:
+            if decrement >= last:
+                break
+            eta = eta + delta
+            value = _kink_objective(eta, c, blocks, st)
+        else:
+            for k in range(config.max_halvings + 1):
+                trial = eta + 0.5 ** k * delta
+                trial_value = _kink_objective(trial, c, blocks, st)
+                if trial_value > value:
+                    break
+            else:
+                break
+            eta, value = trial, trial_value
+        last = decrement
+        steps += 1
+        if decrement < _DECREMENT_FLOOR:
+            break  # the next decrement would be about its square
+    return eta, value, steps
+
+
+def _slope_changes(eta, blocks):
+    """Slope decrease at each interior kink; concave where all are >= 0."""
+    slopes = np.diff(eta) / blocks
+    return slopes[:-1] - slopes[1:], slopes
+
+
+def _active_set(u, gaps, config):
+    """Active-set iteration on standardized knots.
+
+    Returns the final kinks, the values there and the block lengths, and
+    the report fields of the run, with phi_trace per observation in
+    standardized units."""
+    n = u.size
+    span = float(u[-1])
+    relative_tolerance = max(config.phi_tolerance, CERTIFICATE_FLOOR)
+    tolerance = relative_tolerance * span
+    st = config.series_threshold
+    kinks = np.array([0, n - 1])
+    eta = np.full(2, -np.log(span))  # the uniform density
+    c, blocks = _kink_system(u, gaps, kinks)
+    trace = [_kink_objective(eta, c, blocks, st)]
+    steps = []
+    newton_steps = added = dropped = 0
+    added_at = -np.inf  # objective when the last kink was added
+    optimal = False  # no knot left to add
+    while len(steps) < config.max_iterations:
+        psi, value, count = _newton(eta, c, blocks, config)
+        newton_steps += count
+        now, _ = _slope_changes(eta, blocks)
+        target, slopes = _slope_changes(psi, blocks)
+        slack = _CONCAVITY_SLACK * max(1.0, float(np.max(np.abs(slopes))))
+        violated = np.flatnonzero(target < -slack)
+        if violated.size:
+            # the path eta -> psi leaves the cone first where the slope
+            # change of a violated kink reaches zero
+            ratios = now[violated] / (now[violated] - target[violated])
+            first = violated[np.argmin(ratios)]
+            step = min(max(float(np.min(ratios)), 0.0), 1.0)
+            eta = eta + step * (psi - eta)
+            tight = _slope_changes(eta, blocks)[0] <= 0.0
+            tight[first] = True
+            keep = np.concatenate(([True], ~tight, [True]))
+            dropped += int(np.count_nonzero(tight))
+            if step > 0.0:
+                steps.append(step)
+                trace.append(_kink_objective(eta, c, blocks, st))
+            kinks, eta = kinks[keep], eta[keep]
+            c, blocks = _kink_system(u, gaps, kinks)
+            continue
+        eta = psi
+        steps.append(1.0)
+        trace.append(value)
+        theta = np.interp(u, u[kinks], eta)
+        candidates = _directional_derivatives(theta, gaps, st)
+        candidates[kinks] = -np.inf
+        best = int(np.argmax(candidates))
+        if not candidates[best] > tolerance:
+            optimal = True
+            break
+        # anti-cycling: in exact arithmetic every added kink raises the
+        # objective strictly; once one does not, the derivatives that
+        # select kinks are below what rounding resolves
+        if not value > added_at or len(steps) >= config.max_iterations:
+            break
+        added_at = value
+        kinks = np.insert(kinks, np.searchsorted(kinks, best), best)
+        eta = theta[kinks]
+        added += 1
+        c, blocks = _kink_system(u, gaps, kinks)
+    theta = np.interp(u, u[kinks], eta)
+    certificate = _certificate(_directional_derivatives(theta, gaps, st),
+                               gaps, kinks)
+    # the certificate also holds the derivatives at the kinks, which only
+    # the Newton solution makes vanish
+    converged = optimal and certificate <= relative_tolerance
+    return kinks, eta, blocks, {
+        "phi_trace": np.asarray(trace), "step_sizes": np.asarray(steps),
+        "converged": converged, "iterations": len(steps),
+        "certificate": certificate, "newton_steps": newton_steps,
+        "kinks_added": added, "kinks_dropped": dropped}
+
+
+def fit(sample, config=None):
+    """Exact log-concave MLE of a validated sample by the active-set method.
+
+    Returns (LogConcaveFit, IcmReport).  ``converged`` means the
+    certificate is within max(phi_tolerance, 1e-12).  A run that stops
+    short, at max_iterations outer iterations or when adding a kink no
+    longer raises the objective, returns its last iterate with
+    ``converged`` false.
+    """
+    config = config or IcmConfig()
+    # standardized positions, measured from the left end: the objective is
+    # shift-invariant, and sums of gaps do not cancel.  The standard
+    # deviation is taken relative to the range, so that squaring neither
+    # overflows nor underflows at extreme scales.
+    positions = np.concatenate(([0.0], np.cumsum(sample.gaps)))
+    span = positions[-1]
+    sd = span * float(np.std(positions / span, ddof=1))
+    if not (np.isfinite(sd) and sd > 0.0):
+        raise DegenerateVariance(f"sample standard deviation is {sd}")
+    gaps = sample.gaps / sd
+    u = positions / sd
+    kinks, eta, blocks, run = _active_set(u, gaps, config)
+
+    ws = ObjectiveWorkspace(sample, config.series_threshold)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.minimum.accumulate(
+            np.repeat(np.diff(eta) / blocks / sd, np.diff(kinks)))
+        omega = OmegaVector(ws.restore_intercept(slopes), slopes)
+        theta = theta_from_omega(omega, sample)
+    if not np.all(np.isfinite(theta)):
+        raise StepFailure("the fitted log-density is not finite in double "
+                          "precision at this data scale")
+    fit_obj = LogConcaveFit(sample, theta,
+                            log_likelihood=float(np.sum(theta)),
+                            slopes=slopes)
+    # per observation and standardized -> log-likelihood - n in raw units
+    run["phi_trace"] = sample.n * (run["phi_trace"] - np.log(sd))
+    report = IcmReport(
+        kkt_residual=kkt_residual(omega, sample,
+                                  series_threshold=config.series_threshold),
+        initializer="linear",
+        phi_evaluations=ws.phi_evaluations,
+        **run,
     )
     return fit_obj, report
 

@@ -268,6 +268,19 @@ def backtracking_line_search(ws, slopes0, phi0, candidate_slopes,
     raise NoAscent(f"no objective increase within {max_halvings} halvings")
 
 
+def fit_moments(knots, theta, nodes=20):
+    """(mass, mean, variance) of the density exp(chord of theta) by
+    Gauss-Legendre quadrature on every segment."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    h = np.diff(knots)[:, None]
+    x = knots[:-1, None] + h * u
+    f = h * w * np.exp(theta[:-1, None] + np.diff(theta)[:, None] * u)
+    mass = float(np.sum(f))
+    mean = float(np.sum(x * f)) / mass
+    return mass, mean, float(np.sum((x - mean) ** 2 * f)) / mass
+
+
 def quad_pdf(fit, lo, hi):
     """Adaptive quadrature of the fitted density (independent of the
     closed-form segment integrals used by the library)."""

@@ -86,68 +86,79 @@ def test_criterion_2_projection_equivalence():
 
 def test_criterion_3_small_instance_oracles():
     with criterion(3, "small-n fits match independent oracles"):
-        rng = np.random.default_rng(3000)
-        # n = 2: closed form, the uniform density on the gap
-        for _ in range(10):
-            a = rng.normal(0.0, 5.0)
-            gap = rng.uniform(0.1, 4.0)
-            fit, _ = lc.fit(lc.validate_sample([a, a + gap]))
-            assert np.max(np.abs(fit.theta + np.log(gap))) < 1e-6
-        # n = 3: two-stage dense grid search over the slope half-plane
-        for _ in range(20):
-            sample = lc.validate_sample(np.cumsum(rng.uniform(0.25, 1.2, 3)))
-            fit, _ = lc.fit(sample, FLOOR)
-            want = grid_search_loglik(sample.knots)
-            assert abs(fit.log_likelihood - want) < 1e-4
-        # n = 4: long-run projected-gradient ascent
-        for _ in range(20):
-            sample = lc.validate_sample(np.cumsum(rng.uniform(0.25, 1.2, 4)))
-            fit, _ = lc.fit(sample, FLOOR)
-            start = lc.initialize_normal(sample).slopes
-            want = projected_gradient_loglik(sample.knots, start)
-            assert abs(fit.log_likelihood - want) < 1e-4
+        for fit_fn in (lc.fit, lc.fit_icm):
+            rng = np.random.default_rng(3000)
+            # n = 2: closed form, the uniform density on the gap
+            for _ in range(10):
+                a = rng.normal(0.0, 5.0)
+                gap = rng.uniform(0.1, 4.0)
+                fit, _ = fit_fn(lc.validate_sample([a, a + gap]))
+                assert np.max(np.abs(fit.theta + np.log(gap))) < 1e-6
+            # n = 3: two-stage dense grid search over the slope half-plane
+            for _ in range(20):
+                sample = lc.validate_sample(
+                    np.cumsum(rng.uniform(0.25, 1.2, 3)))
+                fit, _ = fit_fn(sample, FLOOR)
+                want = grid_search_loglik(sample.knots)
+                assert abs(fit.log_likelihood - want) < 1e-4
+            # n = 4: long-run projected-gradient ascent
+            for _ in range(20):
+                sample = lc.validate_sample(
+                    np.cumsum(rng.uniform(0.25, 1.2, 4)))
+                fit, _ = fit_fn(sample, FLOOR)
+                start = lc.initialize_normal(sample).slopes
+                want = projected_gradient_loglik(sample.knots, start)
+                assert abs(fit.log_likelihood - want) < 1e-4
 
 
-def _invariant_corpus():
+@pytest.fixture(scope="module")
+def invariant_corpus():
     """Fits checked by criterion 4: every density, two sizes, two seeds,
-    solved to the accuracy floor so that 'converged' is meaningful."""
+    solved to the accuracy floor so that 'converged' is meaningful.  One
+    (sample, active-set fit, ICM fit) triple per sample."""
+    out = []
     for density in lc.REFERENCE_DENSITIES.values():
         for n in (20, 50):
             for rep in (0, 1):
                 draws = lc.sample_true(
                     density, np.random.SeedSequence(40, spawn_key=(n, rep)), n)
                 sample = lc.validate_sample(draws, jitter_ties=True)
-                yield sample, lc.fit(sample, FLOOR)
+                out.append((sample, lc.fit(sample, FLOOR),
+                            lc.fit_icm(sample, FLOOR)))
+    return out
 
 
-def test_criterion_4_solver_invariants():
+def test_criterion_4_solver_invariants(invariant_corpus):
     with criterion(4, "ascent, feasibility, normalization, KKT, peak bound"):
-        for sample, (fit, report) in _invariant_corpus():
-            trace = report.phi_trace
-            # ascent with the 1e-12 slack: strict in the extended-precision
-            # comparisons, but endgame gains collapse to ties in the stored
-            # double-precision trace
-            assert np.all(np.diff(trace) > -1e-12)
-            assert trace[-1] > trace[0]
-            # slope ordering (exactly, on the solver's iterate) and the
-            # unit-mass side condition
-            assert np.all(fit.slopes[:-1] >= fit.slopes[1:])
-            assert abs(fit.mass - 1.0) < 1e-10
-            assert abs(lc.normalization_mass(fit.theta, sample) - 1.0) < 1e-10
-            # first-order optimality on converged fits
-            if report.converged:
-                assert report.kkt_residual < 1e-6
-            # pairwise bound: g(b) <= (1 + log(g(b)/g(a))) / (b - a)
-            x = sample.knots
-            g = np.exp(fit.theta)
-            ratio = g[None, :] / g[:, None]
-            gap = x[None, :] - x[:, None]
-            applicable = (gap > 0) & (ratio >= 1.0)
-            bound = np.where(applicable,
-                             (1.0 + np.log(np.where(applicable, ratio, 1.0)))
-                             / np.where(gap > 0, gap, 1.0), np.inf)
-            g_upper = np.broadcast_to(g[None, :], ratio.shape)
-            assert np.all(g_upper[applicable] - bound[applicable] <= 1e-9)
+        for sample, *fits in invariant_corpus:
+            for fit, report in fits:
+                trace = report.phi_trace
+                # ascent with the 1e-12 slack: strict in the solvers'
+                # comparisons, but endgame gains collapse to ties in the
+                # stored double-precision trace
+                assert np.all(np.diff(trace) > -1e-12)
+                assert trace[-1] > trace[0]
+                # slope ordering (exactly, on the solver's iterate) and the
+                # unit-mass side condition
+                assert np.all(fit.slopes[:-1] >= fit.slopes[1:])
+                assert abs(fit.mass - 1.0) < 1e-10
+                assert abs(lc.normalization_mass(fit.theta, sample)
+                           - 1.0) < 1e-10
+                # first-order optimality on converged fits
+                if report.converged:
+                    assert report.kkt_residual < 1e-6
+                # pairwise bound: g(b) <= (1 + log(g(b)/g(a))) / (b - a)
+                x = sample.knots
+                g = np.exp(fit.theta)
+                ratio = g[None, :] / g[:, None]
+                gap = x[None, :] - x[:, None]
+                applicable = (gap > 0) & (ratio >= 1.0)
+                safe_ratio = np.where(applicable, ratio, 1.0)
+                bound = np.where(applicable,
+                                 (1.0 + np.log(safe_ratio))
+                                 / np.where(gap > 0, gap, 1.0), np.inf)
+                g_upper = np.broadcast_to(g[None, :], ratio.shape)
+                assert np.all(g_upper[applicable] - bound[applicable] <= 1e-9)
         # exact cone membership holds at accepted iterates
         sample = lc.validate_sample(lc.sample_true(lc.NORMAL, 41, 40))
         config = lc.IcmConfig()
@@ -161,6 +172,18 @@ def test_criterion_4_solver_invariants():
                 break
             assert np.all(accepted.slopes[:-1] >= accepted.slopes[1:])
             state = IcmState(accepted, lc.phi(accepted, sample))
+
+
+def test_active_set_matches_icm_floor_fits(invariant_corpus):
+    # where ICM reaches its accuracy floor both find the same MLE; the
+    # exact solver never ends below it
+    for _, (fit, report), (icm, icm_report) in invariant_corpus:
+        assert report.converged
+        gap = fit.log_likelihood - icm.log_likelihood
+        assert gap > -1e-9
+        if icm_report.converged:
+            assert abs(gap) < 1e-6
+            assert icm_report.certificate < 1e-8
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,22 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_fit_command_does_not_load_scipy(tmp_path):
+    # the default solver needs only numpy, so fitting pays no scipy import
+    data = tmp_path / "d.txt"
+    data.write_text("".join(f"{v!r}\n" for v in
+                            np.random.default_rng(3).normal(0, 1, 200)
+                            .tolist()))
+    argv = ["fit", "--input", str(data), "--output", str(tmp_path / "f.json")]
+    code = ("import sys; from logcave import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "[]"]
+
+
 class TestIngest:
     def test_plain_numbers(self, tmp_path):
         p = tmp_path / "data.txt"

@@ -1,7 +1,11 @@
 """Solver behavior: initialization, candidates, line search, full fits."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import logcave as lc
 from logcave import solver
@@ -11,6 +15,7 @@ from logcave.solver import IcmState, _line_search
 
 from oracles import (
     backtracking_line_search,
+    fit_moments,
     grid_search_loglik,
     kkt_residual_blocks,
     projected_gradient_loglik,
@@ -174,7 +179,7 @@ class TestWarmStartedLineSearch:
 
     @staticmethod
     def _fit_pair(monkeypatch, sample, config=None):
-        fast = lc.fit(sample, config)
+        fast = lc.fit_icm(sample, config)
 
         def oracle(ws, slopes0, phi0, candidate, max_halvings,
                    dtype=np.longdouble, start=0):
@@ -183,7 +188,7 @@ class TestWarmStartedLineSearch:
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_line_search", oracle)
-            slow = lc.fit(sample, config)
+            slow = lc.fit_icm(sample, config)
         return fast, slow
 
     @pytest.mark.parametrize("n, max_iterations", [(25, 1000), (200, 1000),
@@ -414,3 +419,136 @@ class TestKktAgainstBlockLoop:
         joined = self._agree(slopes, sample, block_tol)
         split = self._agree(slopes, sample, np.nextafter(block_tol, 0.0))
         assert joined != split
+
+
+class TestActiveSet:
+    """The default solver: report contract, exactness and termination."""
+
+    def test_report_fields_are_finite(self):
+        normal = normal_sample(200, 1)
+        cases = [(normal, None), (lc.validate_sample([0.0, 1.0]), None),
+                 (normal, lc.IcmConfig(max_iterations=1)),
+                 (normal, lc.IcmConfig(phi_tolerance=1e-300))]
+        for sample, config in cases:
+            fit, report = lc.fit(sample, config)
+            assert report.iterations == len(report.step_sizes) >= 1
+            assert report.phi_trace.shape == (report.iterations + 1,)
+            assert np.all(np.isfinite(report.phi_trace))
+            assert np.all(np.diff(report.phi_trace) > -1e-12)
+            assert np.all((report.step_sizes > 0) & (report.step_sizes <= 1))
+            for value in (report.kkt_residual, report.certificate):
+                assert np.isfinite(value) and value >= 0
+            for count in (report.newton_steps, report.kinks_added,
+                          report.kinks_dropped, report.phi_evaluations):
+                assert isinstance(count, int) and count >= 0
+            assert isinstance(report.converged, bool)
+            assert fit.log_likelihood == pytest.approx(
+                report.phi_trace[-1] + sample.n, abs=1e-9 * sample.n)
+        assert not lc.fit(normal, lc.IcmConfig(max_iterations=1))[1].converged
+
+    def test_reaches_the_mle_where_icm_stops_early(self):
+        # ICM reports converged here after 618 iterations, KKT residual 4.36
+        draws = lc.sample_true(lc.DOUBLE_EXPONENTIAL,
+                               np.random.SeedSequence(7, spawn_key=(1000,)),
+                               1000)
+        _, report = lc.fit(lc.validate_sample(draws))
+        assert report.converged
+        assert report.kkt_residual / 1000 <= 1e-6
+
+    def test_certificate_sees_kinks_that_should_shrink(self):
+        # no directional derivative of this early-stopped ICM fit is
+        # positive; only the derivatives at its kinks show it is not the MLE
+        draws = lc.sample_true(lc.NORMAL,
+                               np.random.SeedSequence(7, spawn_key=(200,)),
+                               200)
+        sample = lc.validate_sample(draws)
+        icm, icm_report = lc.fit_icm(sample)
+        derivatives = solver._directional_derivatives(
+            icm.theta, sample.gaps, solver.SERIES_THRESHOLD)
+        assert derivatives.max() <= 0.0
+        assert icm_report.certificate > 1e-4
+        assert lc.fit(sample)[1].certificate < 1e-8
+
+    def test_fitted_variance_at_most_sample_variance(self):
+        # every log-concave MLE has this property; ICM's fit of this sample
+        # has a variance 1.0053 times the sample variance
+        draws = lc.sample_true(lc.BETA,
+                               np.random.SeedSequence(31, spawn_key=(1000, 1)),
+                               1000)
+        fit, _ = lc.fit(lc.validate_sample(draws))
+        mass, _, variance = fit_moments(fit.sample.knots, fit.theta)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        assert variance <= np.var(draws)
+
+    def test_floor_fit_of_large_sample_converges_quickly(self):
+        # an earlier prototype cycled forever on this sample, adding and
+        # dropping neighbouring kinks with derivatives near 1e-8
+        draws = lc.sample_true(lc.DOUBLE_EXPONENTIAL,
+                               np.random.SeedSequence(7, spawn_key=(10000,)),
+                               10000)
+        sample = lc.validate_sample(draws)
+        start = time.perf_counter()
+        _, report = lc.fit(sample, lc.IcmConfig(phi_tolerance=1e-30,
+                                                max_iterations=200000))
+        assert time.perf_counter() - start < 1.0
+        assert report.converged
+        assert report.certificate <= solver.CERTIFICATE_FLOOR
+
+    def test_unwanted_kink_cannot_make_it_cycle(self, monkeypatch):
+        # a derivative that reports a gain the objective does not have keeps
+        # selecting the same knot; each time the Newton solution drops it
+        # again, and the solver stops instead of cycling to the cap
+        derivatives = solver._directional_derivatives
+
+        def misleading(theta, gaps, series_threshold):
+            out = derivatives(theta, gaps, series_threshold).copy()
+            out[50] += 1.0
+            return out
+
+        monkeypatch.setattr(solver, "_directional_derivatives", misleading)
+        _, report = lc.fit(normal_sample(200, 7),
+                           lc.IcmConfig(max_iterations=1000))
+        assert not report.converged
+        assert report.iterations < 50
+
+
+def test_subnormal_data_fail_loudly():
+    # the standardized fit exists, but its raw log-density does not fit in
+    # double precision; no fit is claimed
+    sample = lc.validate_sample(1e-310 * normal_sample(50, 2).knots)
+    with pytest.raises(lc.StepFailure):
+        lc.fit(sample)
+
+
+AFFINE_BASE = lc.sample_true(lc.NORMAL,
+                             np.random.SeedSequence(5, spawn_key=(200,)), 200)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(log_scale=st.floats(-150.0, 150.0), shift=st.floats(-1e9, 1e9),
+       negate=st.booleans())
+@example(log_scale=8.0, shift=0.0, negate=False)
+@example(log_scale=-8.0, shift=0.0, negate=False)
+@example(log_scale=150.0, shift=0.0, negate=False)
+@example(log_scale=-150.0, shift=0.0, negate=False)
+@example(log_scale=300.0, shift=0.0, negate=False)
+@example(log_scale=-300.0, shift=0.0, negate=False)
+@example(log_scale=0.0, shift=1e9, negate=False)
+@example(log_scale=0.0, shift=0.0, negate=True)
+def test_affine_equivariance(log_scale, shift, negate):
+    # log-likelihoods transform with the Jacobian: l(a(x + b)) = l(x) -
+    # n log|a|; the shift rounds the sample to the spacing of |b|
+    base, _ = lc.fit(lc.validate_sample(AFFINE_BASE))
+    a = (-1.0 if negate else 1.0) * 10.0 ** log_scale
+    fit, report = lc.fit(lc.validate_sample(a * (AFFINE_BASE + shift)))
+    assert report.converged
+    moved = fit.log_likelihood + AFFINE_BASE.size * np.log(abs(a))
+    assert moved == pytest.approx(base.log_likelihood, abs=1e-6)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(order=st.permutations(range(AFFINE_BASE.size)))
+def test_permutation_invariance(order):
+    base, _ = lc.fit(lc.validate_sample(AFFINE_BASE))
+    fit, _ = lc.fit(lc.validate_sample(AFFINE_BASE[list(order)]))
+    assert np.array_equal(fit.theta, base.theta)
