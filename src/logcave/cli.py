@@ -43,6 +43,11 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _floats(values):
+    """Python floats of an array, whose repr formats like ``_fmt``."""
+    return np.asarray(values, dtype=float).tolist()
+
+
 def ingest(path, column=None):
     """Read raw observations from a text or CSV file.
 
@@ -98,7 +103,7 @@ def ingest(path, column=None):
 
 
 def _input_digest(raw):
-    payload = "\n".join(_fmt(v) for v in raw).encode()
+    payload = "\n".join(map(repr, _floats(raw))).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -197,11 +202,10 @@ def cmd_eval(args):
     with np.errstate(over="ignore"):
         pdf = np.exp(log_pdf)
     cdf = np.atleast_1d(fit_obj.cdf(grid))
-    lines = ["x,pdf,log_pdf,cdf"]
-    for i, x in enumerate(np.atleast_1d(grid)):
-        lines.append(",".join((_fmt(x), _fmt(pdf[i]), _fmt(log_pdf[i]),
-                               _fmt(cdf[i]))))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    columns = (np.atleast_1d(grid), pdf, log_pdf, cdf)
+    rows = zip(*(map(repr, _floats(column)) for column in columns))
+    body = "\n".join(map(",".join, rows))
+    _write_text(args.output, "x,pdf,log_pdf,cdf\n" + body + "\n")
     return EXIT_OK
 
 
@@ -210,8 +214,8 @@ def cmd_sample(args):
         raise BadCount(f"draw count must be nonnegative, got {args.count}")
     fit_obj, _ = read_artifact(args.input)
     draws = fit_obj.sample_points(args.count, _resolve_seed(args.seed))
-    text = "".join(_fmt(v) + "\n" for v in draws)
-    _write_text(args.output, text)
+    text = "\n".join(map(repr, _floats(draws)))
+    _write_text(args.output, text + "\n" if text else "")
     return EXIT_OK
 
 

@@ -71,7 +71,7 @@ class ObjectiveWorkspace:
                 + float(self.linear_weights @ omega.slopes)
                 - self.n * mass)
 
-    def _grad_curv(self, omega):
+    def _grad_curv(self, omega, with_curvature=True):
         theta = self.theta(omega)
         if np.max(theta) > THETA_CAP:
             raise StepFailure("theta exceeds the exp overflow cap")
@@ -83,12 +83,13 @@ class ObjectiveWorkspace:
         grad[0] = self.n * (1.0 - mass)
         grad[1:] = (self.linear_weights
                     - self.n * self.dx * (tail + m1))
-        curv = self.n * self.dx ** 2 * (tail + m2)
-        return grad, curv
+        if not with_curvature:
+            return grad, None
+        return grad, self.n * self.dx ** 2 * (tail + m2)
 
     def gradient(self, omega):
         """Length-n gradient; entry 0 is d(phi)/d(omega_1)."""
-        return self._grad_curv(omega)[0]
+        return self._grad_curv(omega, with_curvature=False)[0]
 
     def curvature(self, omega, floored=True):
         """Positive diagonal d_k = -d^2(phi)/d(omega_k)^2 for k = 2..n."""

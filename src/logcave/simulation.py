@@ -21,6 +21,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 SQRT2 = math.sqrt(2.0)
 
+_HALF_PI = 0.5 * math.pi
+
 
 @dataclass(frozen=True)
 class ReferenceDensity:
@@ -200,6 +202,33 @@ def hellinger(fit_obj, density, tol=1e-9):
     return math.sqrt(min(max(2.0 * (1.0 - overlap), 0.0), 2.0))
 
 
+def _integrate(func, lo, hi, tol=1e-12):
+    """Integral of the vectorized ``func`` over [lo, hi], either end of
+    which may be infinite, by ``_adaptive_simpson``.
+
+    Infinite ends are mapped onto a finite interval: x = tan(u) when both
+    are infinite, x = lo + tan(u) or x = hi - tan(u) when one is, with u
+    from 0 (or -pi/2) to pi/2.  Integrand values that are not finite, as
+    at u = +-pi/2, count as 0.
+    """
+    if not (math.isinf(lo) or math.isinf(hi)):
+        return _adaptive_simpson(func, [lo], [hi], tol)
+    if math.isinf(lo) and math.isinf(hi):
+        to_x, u_lo = np.tan, -_HALF_PI
+    elif math.isinf(hi):
+        to_x, u_lo = (lambda u: lo + np.tan(u)), 0.0
+    else:
+        to_x, u_lo = (lambda u: hi - np.tan(u)), 0.0
+
+    def mapped(u):
+        cos = np.cos(u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = func(to_x(u)) / (cos * cos)
+        return np.where(np.isfinite(value), value, 0.0)
+
+    return _adaptive_simpson(mapped, [u_lo], [_HALF_PI], tol)
+
+
 def hellinger_pdfs(f, g):
     """Hellinger distance between two reference densities, by quadrature."""
     lo = max(float(f.support[0]), float(g.support[0]))
@@ -207,23 +236,17 @@ def hellinger_pdfs(f, g):
     if not hi > lo:
         return SQRT2
 
-    from scipy.integrate import quad  # kept off the package import path
-
     def integrand(x):
-        return float(np.exp(0.5 * (f.log_pdf(x) + g.log_pdf(x))))
+        return np.exp(0.5 * (f.log_pdf(x) + g.log_pdf(x)))
 
-    overlap, _ = quad(integrand, lo, hi, epsabs=1e-12, limit=200)
+    overlap = _integrate(integrand, lo, hi)
     return math.sqrt(min(max(2.0 * (1.0 - overlap), 0.0), 2.0))
 
 
 def pdf_mass(density):
     """Quadrature check that a reference pdf integrates to one."""
-    from scipy.integrate import quad  # kept off the package import path
-
-    value, _ = quad(lambda x: float(density.pdf(x)),
-                    density.support[0], density.support[1],
-                    epsabs=1e-12, limit=200)
-    return value
+    return _integrate(density.pdf, float(density.support[0]),
+                      float(density.support[1]))
 
 
 @dataclass

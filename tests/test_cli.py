@@ -47,6 +47,19 @@ def test_fit_command_does_not_load_scipy(tmp_path):
     assert out.stdout.split() == ["0", "[]"]
 
 
+def test_simulate_command_does_not_load_scipy(tmp_path):
+    # the reference-density mass check runs on the package's own quadrature
+    argv = ["simulate", "--densities", "normal,gamma", "--sizes", "25",
+            "--replications", "1", "--output", str(tmp_path / "t.csv")]
+    code = ("import sys; from logcave import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "[]"]
+
+
 class TestIngest:
     def test_plain_numbers(self, tmp_path):
         p = tmp_path / "data.txt"
@@ -243,6 +256,60 @@ class TestSampleCommand:
         code = cli.main(["sample", "--input", str(uniform_artifact),
                          "--count", "-1", "--output", str(tmp_path / "s")])
         assert code == 1
+
+
+def _per_value(rows):
+    """Lines of comma-joined values, each formatted on its own by _fmt."""
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+
+class TestOutputFormatting:
+    # eval and sample format whole columns at once; the bytes must be those
+    # of formatting every value on its own
+
+    @pytest.fixture(params=[1.0, 1e300], ids=["unit", "1e300"])
+    def artifact(self, request, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("".join(f"{request.param * v!r}\n"
+                                for v in (0.0, 0.3, 1.0)))
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", "--input", str(data),
+                         "--output", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("grid", ["-0.0,0.25,1e300,-5,5e299",
+                                      "0.5", "0:1:1", "-1:2:7"])
+    def test_eval_matches_per_value_format(self, artifact, tmp_path, grid):
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", "--input", str(artifact), f"--grid={grid}",
+                         "--output", str(out)]) == 0
+        fit_obj, _ = cli.read_artifact(artifact)
+        x = cli.parse_grid(grid)
+        log_pdf = np.atleast_1d(fit_obj.log_pdf(x))
+        with np.errstate(over="ignore"):
+            pdf = np.exp(log_pdf)
+        cdf = np.atleast_1d(fit_obj.cdf(x))
+        want = "x,pdf,log_pdf,cdf\n" + _per_value(zip(x, pdf, log_pdf, cdf))
+        assert out.read_text() == want
+
+    def test_eval_edge_values(self, uniform_artifact, tmp_path):
+        # the values the comparison above must cover
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", "--input", str(uniform_artifact),
+                         "--grid=-0.0,1e300,-5", "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0].startswith("-0.0,")
+        assert rows[1:] == ["1e+300,0.0,-inf,1.0", "-5.0,0.0,-inf,0.0"]
+
+    @pytest.mark.parametrize("count", [0, 1, 50])
+    def test_sample_matches_per_value_format(self, artifact, tmp_path, count):
+        out = tmp_path / "s.txt"
+        assert cli.main(["sample", "--input", str(artifact),
+                         "--count", str(count), "--seed", "4",
+                         "--output", str(out)]) == 0
+        fit_obj, _ = cli.read_artifact(artifact)
+        draws = fit_obj.sample_points(count, 4)
+        assert out.read_text() == _per_value((v,) for v in draws)
 
 
 class TestSimulateCommand:

@@ -144,6 +144,66 @@ class TestHellinger:
             assert 0.0 <= h <= math.sqrt(2.0)
 
 
+def _laplace_on(lo, hi, centre=1.3):
+    """Laplace density with its kink at ``centre``, restricted to (lo, hi)
+    and renormalized."""
+    mass = (1.0 - math.exp(-(centre - lo))) + (1.0 - math.exp(-(hi - centre)))
+    log_norm = math.log(mass)
+
+    def log_pdf(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x > lo) & (x < hi)
+        return np.where(inside, -np.abs(x - centre) - log_norm, -np.inf)
+
+    return lc.ReferenceDensity(f"laplace-{lo}-{hi}", log_pdf, (lo, hi))
+
+
+# one kinked density per support shape: (-inf, inf), (a, inf), (-inf, b), [a, b]
+KINKED = [_laplace_on(-np.inf, np.inf), _laplace_on(0.5, np.inf),
+          _laplace_on(-np.inf, 2.1), _laplace_on(-1.0, 2.5)]
+
+
+def _quad_oracle(func, lo, hi, kink=1.3):
+    """scipy's quad over [lo, hi], split at the kink."""
+    from scipy.integrate import quad
+    cuts = [lo] + ([kink] if lo < kink < hi else []) + [hi]
+    return sum(quad(lambda x: float(func(x)), a, b, epsabs=1e-13,
+                    epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("density", KINKED + list(
+        lc.REFERENCE_DENSITIES.values()), ids=lambda d: d.name)
+    def test_pdf_mass_matches_quad(self, density):
+        want = _quad_oracle(density.pdf, *density.support)
+        assert pdf_mass(density) == pytest.approx(want, abs=1e-10)
+        assert pdf_mass(density) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("other", [lc.NORMAL, lc.GAMMA, lc.BETA],
+                             ids=lambda d: d.name)
+    @pytest.mark.parametrize("density", KINKED, ids=lambda d: d.name)
+    def test_hellinger_pdfs_matches_quad(self, density, other):
+        lo = max(density.support[0], other.support[0])
+        hi = min(density.support[1], other.support[1])
+        overlap = _quad_oracle(
+            lambda x: math.sqrt(density.pdf(x) * other.pdf(x)), lo, hi)
+        want = math.sqrt(2.0 * (1.0 - overlap))
+        assert lc.hellinger_pdfs(density, other) == pytest.approx(
+            want, abs=1e-10)
+
+    def test_unnormalized_density_fails_the_mass_check(self):
+        double = lc.ReferenceDensity(
+            "normal-times-two",
+            lambda x: lc.NORMAL.log_pdf(x) + math.log(2.0),
+            lc.NORMAL.support, lc.NORMAL.sampler)
+        assert pdf_mass(double) == pytest.approx(2.0, abs=1e-10)
+        spec = lc.SimulationSpec(densities=[double], sizes=[25],
+                                 replications=1)
+        with pytest.raises(lc.LogcaveError, match="integrates to"):
+            lc.run_monte_carlo(spec)
+
+
 class TestMonteCarlo:
     def test_table_is_deterministic(self):
         spec = lc.SimulationSpec(densities=[lc.NORMAL], sizes=[30],

@@ -1,6 +1,7 @@
 """Solver behavior: initialization, candidates, line search, full fits."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +545,16 @@ def test_affine_equivariance(log_scale, shift, negate):
     assert report.converged
     moved = fit.log_likelihood + AFFINE_BASE.size * np.log(abs(a))
     assert moved == pytest.approx(base.log_likelihood, abs=1e-6)
+
+
+def test_fit_at_scale_1e300_raises_no_warning():
+    # the KKT residual needs the gradient only; the curvature's squared
+    # gaps would overflow at this scale
+    sample = lc.validate_sample(1e300 * AFFINE_BASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report = lc.fit(sample)
+    assert report.converged and np.isfinite(report.kkt_residual)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
