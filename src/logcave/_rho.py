@@ -18,6 +18,8 @@ split into three regimes:
   cancellation is ~0.25-deep and costs under two digits.
 """
 
+import math
+
 import numpy as np
 
 SERIES_THRESHOLD = 1e-4
@@ -82,6 +84,47 @@ def _rho_triple(t, series_threshold):
             r1[big] = (em * (x - 1.0) + x) / xx
             r2[big] = (em * (xx - 2.0 * x + 2.0) + x * (x - 2.0)) / (xx * x)
     return r0, r1, r2
+
+
+# the Taylor coefficients as rows (c0_k, c1_k, c2_k) from the highest k
+# down, for one Horner pass over all three orders on Python floats
+_ROWS = tuple(zip(_C0[::-1].tolist(), _C1[::-1].tolist(), _C2[::-1].tolist()))
+_CUBIC_ROWS = _ROWS[-4:]
+
+
+def segment_triple(left, right, dx, series_threshold=SERIES_THRESHOLD):
+    """(m0, m1, m2) of one segment on Python floats: ``segment_triples``
+    for a single segment, with the same regimes and large-t rewrite.
+
+    It makes no numpy call: the Newton over the kink values solves
+    systems of a few segments, where numpy's per-call overhead would
+    dominate.  Where numpy's exp would overflow to inf, math.exp raises
+    OverflowError instead.
+    """
+    t = right - left
+    if t >= _BIG_T:
+        el = math.exp(left)
+        er = math.exp(right)
+        tt = t * t
+        return ((er - el) / t * dx,
+                ((t - 1.0) * er + el) / tt * dx,
+                ((tt - 2.0 * t + 2.0) * er - 2.0 * el) / (tt * t) * dx)
+    a = abs(t)
+    if a < _SERIES_CUT:
+        rows = _CUBIC_ROWS if a < series_threshold else _ROWS
+        r0, r1, r2 = rows[0]
+        for c0, c1, c2 in rows[1:]:
+            r0 = r0 * t + c0
+            r1 = r1 * t + c1
+            r2 = r2 * t + c2
+    else:
+        em = math.expm1(t)
+        tt = t * t
+        r0 = em / t
+        r1 = (em * (t - 1.0) + t) / tt
+        r2 = (em * (tt - 2.0 * t + 2.0) + t * (t - 2.0)) / (tt * t)
+    w = math.exp(left) * dx
+    return r0 * w, r1 * w, r2 * w
 
 
 def _rho0(t, series_threshold):

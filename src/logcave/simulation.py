@@ -188,11 +188,10 @@ def hellinger(fit_obj, density, tol=1e-9):
     if not hi > lo:
         return SQRT2
 
-    cuts = np.unique(np.clip(fit_obj.sample.knots, lo, hi))
-    if cuts[0] > lo:
-        cuts = np.concatenate(([lo], cuts))
-    if cuts[-1] < hi:
-        cuts = np.concatenate((cuts, [hi]))
+    # the knots increase strictly, so the cuts need no np.unique (which
+    # imports numpy.ma on its first call)
+    knots = fit_obj.sample.knots
+    cuts = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
 
     def integrand(x):
         with np.errstate(over="ignore"):

@@ -9,7 +9,10 @@ knots) the objective depends only on the values eta at K:
 
 with D_l the block lengths and c the weights the observations put on each
 kink's hat function.  Its Hessian is tridiagonal, so a Newton step costs
-O(|K|).  The active-set iteration (Duembgen, Huesler & Rufibach, "Active
+O(|K|): one pass over the segments on Python floats gives the objective,
+the gradient and both bands of the Hessian, and a Thomas sweep solves for
+the step.  The systems are small (a few kinks on Monte Carlo samples), so
+this avoids numpy's per-call overhead.  The active-set iteration (Duembgen, Huesler & Rufibach, "Active
 set and EM algorithms for log-concave densities based on complete and
 censored data", arXiv:0707.4643) maximizes L over K; when the maximizer is
 not concave it steps towards it as far as concavity allows and drops the
@@ -47,6 +50,8 @@ A fit run is single-threaded and deterministic; independent fits share no
 mutable state and may run concurrently.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -59,7 +64,7 @@ from .errors import (
     NonPositiveWeight,
     StepFailure,
 )
-from ._rho import segment_masses, segment_triples
+from ._rho import segment_triple, segment_triples
 from .model import LogConcaveFit, OmegaVector, theta_from_omega
 from .objective import CURVATURE_FLOOR, SERIES_THRESHOLD, ObjectiveWorkspace
 
@@ -397,59 +402,102 @@ def _kink_system(u, gaps, kinks):
     return c / n, blocks
 
 
-def _kink_objective(eta, c, blocks, series_threshold):
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = c @ eta - np.sum(segment_masses(eta, blocks,
-                                                series_threshold))
-    return value if np.isfinite(value) else -np.inf
+def _kink_pass(eta, c, blocks, series_threshold):
+    """Objective, gradient and the diagonal and off-diagonal of the negated
+    Hessian of the kink objective at eta, in one pass over the segments.
+
+    Works on lists of Python floats.  The objective is -inf where it is not
+    finite or where an exponential overflows; on overflow the derivatives
+    are empty lists, whose Newton step is empty and ends the solve."""
+    grad = []
+    diag = []
+    off = []
+    mass = m1 = m2 = 0.0
+    try:
+        for l, dx in enumerate(blocks):
+            left1, left2 = m1, m2
+            m0, m1, m2 = segment_triple(eta[l], eta[l + 1], dx,
+                                        series_threshold)
+            mass += m0
+            grad.append(c[l] - (m0 - m1) - left1)
+            diag.append(m0 - 2.0 * m1 + m2 + left2)
+            off.append(m1 - m2)
+    except OverflowError:
+        return -math.inf, [], [], []
+    grad.append(c[-1] - m1)
+    diag.append(m2)
+    value = sum(map(operator.mul, c, eta)) - mass
+    return (value if math.isfinite(value) else -math.inf), grad, diag, off
+
+
+def _thomas(diag, off, rhs):
+    """Solution of the symmetric tridiagonal system by a Thomas sweep, or
+    None when a pivot is not positive (the matrix is not positive
+    definite)."""
+    ratios = []
+    ys = []
+    ratio = y = 0.0
+    for d, e_before, b, e in zip(diag, chain((0.0,), off), rhs,
+                                 chain(off, (0.0,))):
+        pivot = d - e_before * ratio
+        if not pivot > 0.0:
+            return None
+        y = (b - e_before * y) / pivot
+        ratio = e / pivot
+        ratios.append(ratio)
+        ys.append(y)
+    x = 0.0
+    out = []
+    for ratio, y in zip(reversed(ratios), reversed(ys)):
+        x = y - ratio * x
+        out.append(x)
+    out.reverse()
+    return out
 
 
 def _newton(eta, c, blocks, config):
     """Maximizer of the kink objective by Newton's method with step
     halving, from eta; returns (maximizer, objective, Newton steps).
 
-    Steps are accepted on a strict increase only: accepting an equal value
-    lets rounding noise keep the iteration going without progress."""
+    Each trial point costs one ``_kink_pass``, and an accepted trial's pass
+    gives the next step's derivatives.  Steps are accepted on a strict
+    increase only: accepting an equal value lets rounding noise keep the
+    iteration going without progress."""
     st = config.series_threshold
-    value = _kink_objective(eta, c, blocks, st)
+    c = c.tolist()
+    blocks = blocks.tolist()
+    eta = eta.tolist()
+    value, grad, diag, off = _kink_pass(eta, c, blocks, st)
     steps = 0
-    last = np.inf
+    last = math.inf
     while steps < _MAX_NEWTON_STEPS:
-        m0, m1, m2 = segment_triples(eta, blocks, st)
-        grad = c.copy()
-        grad[:-1] -= m0 - m1
-        grad[1:] -= m1
-        diag = np.zeros(eta.size)
-        diag[:-1] += m0 - 2.0 * m1 + m2
-        diag[1:] += m2
-        off = m1 - m2
-        hessian = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        try:
-            delta = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
+        delta = _thomas(diag, off, grad)
+        if delta is None:
             break
-        decrement = float(grad @ delta)
+        decrement = sum(map(operator.mul, grad, delta))
         if not decrement > 0.0:
             break
         if decrement < _UNCHECKED_DECREMENT:
             if decrement >= last:
                 break
-            eta = eta + delta
-            value = _kink_objective(eta, c, blocks, st)
+            eta = [e + d for e, d in zip(eta, delta)]
+            value, grad, diag, off = _kink_pass(eta, c, blocks, st)
         else:
             for k in range(config.max_halvings + 1):
-                trial = eta + 0.5 ** k * delta
-                trial_value = _kink_objective(trial, c, blocks, st)
-                if trial_value > value:
+                h = 0.5 ** k
+                trial = [e + h * d for e, d in zip(eta, delta)]
+                point = _kink_pass(trial, c, blocks, st)
+                if point[0] > value:
                     break
             else:
                 break
-            eta, value = trial, trial_value
+            eta = trial
+            value, grad, diag, off = point
         last = decrement
         steps += 1
         if decrement < _DECREMENT_FLOOR:
             break  # the next decrement would be about its square
-    return eta, value, steps
+    return np.array(eta), value, steps
 
 
 def _slope_changes(eta, blocks):
@@ -472,7 +520,7 @@ def _active_set(u, gaps, config):
     kinks = np.array([0, n - 1])
     eta = np.full(2, -np.log(span))  # the uniform density
     c, blocks = _kink_system(u, gaps, kinks)
-    trace = [_kink_objective(eta, c, blocks, st)]
+    trace = [_kink_pass(eta.tolist(), c.tolist(), blocks.tolist(), st)[0]]
     steps = []
     newton_steps = added = dropped = 0
     added_at = -np.inf  # objective when the last kink was added
@@ -497,7 +545,8 @@ def _active_set(u, gaps, config):
             dropped += int(np.count_nonzero(tight))
             if step > 0.0:
                 steps.append(step)
-                trace.append(_kink_objective(eta, c, blocks, st))
+                trace.append(_kink_pass(eta.tolist(), c.tolist(),
+                                        blocks.tolist(), st)[0])
             kinks, eta = kinks[keep], eta[keep]
             c, blocks = _kink_system(u, gaps, kinks)
             continue

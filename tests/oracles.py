@@ -5,9 +5,14 @@ its own arithmetic (mostly extended precision), separate from the library
 code paths it is used to verify.
 """
 
+import math
+
 import numpy as np
 
+from logcave._rho import segment_masses, segment_triples
 from logcave.errors import NoAscent, NonPositiveWeight
+from logcave.solver import (_DECREMENT_FLOOR, _MAX_NEWTON_STEPS,
+                            _UNCHECKED_DECREMENT)
 
 
 def rho_of(t):
@@ -291,3 +296,83 @@ def quad_pdf(fit, lo, hi):
                         (fit.sample.knots > lo) & (fit.sample.knots < hi)])[:80],
                     limit=300, epsabs=1e-11)
     return value
+
+
+def kink_objective_dense(eta, c, blocks, series_threshold):
+    """The kink objective c.eta - sum of segment masses, -inf where it is
+    not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = c @ eta - np.sum(segment_masses(eta, blocks,
+                                                series_threshold))
+    return value if np.isfinite(value) else -np.inf
+
+
+def newton_dense(eta, c, blocks, config):
+    """Newton's method with step halving on the kink objective, with the
+    tridiagonal Hessian assembled as a dense matrix and solved by LAPACK;
+    the same step rules as ``solver._newton``.  Returns (maximizer,
+    objective, Newton steps)."""
+    st = config.series_threshold
+    value = kink_objective_dense(eta, c, blocks, st)
+    steps = 0
+    last = np.inf
+    while steps < _MAX_NEWTON_STEPS:
+        m0, m1, m2 = segment_triples(eta, blocks, st)
+        grad = c.copy()
+        grad[:-1] -= m0 - m1
+        grad[1:] -= m1
+        diag = np.zeros(eta.size)
+        diag[:-1] += m0 - 2.0 * m1 + m2
+        diag[1:] += m2
+        off = m1 - m2
+        hessian = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        try:
+            delta = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            break
+        decrement = float(grad @ delta)
+        if not decrement > 0.0:
+            break
+        if decrement < _UNCHECKED_DECREMENT:
+            if decrement >= last:
+                break
+            eta = eta + delta
+            value = kink_objective_dense(eta, c, blocks, st)
+        else:
+            for k in range(config.max_halvings + 1):
+                trial = eta + 0.5 ** k * delta
+                trial_value = kink_objective_dense(trial, c, blocks, st)
+                if trial_value > value:
+                    break
+            else:
+                break
+            eta, value = trial, trial_value
+        last = decrement
+        steps += 1
+        if decrement < _DECREMENT_FLOOR:
+            break
+    return eta, value, steps
+
+
+def hellinger_unique_cuts(fit_obj, density, tol=1e-9):
+    """Hellinger distance by the library's quadrature, with the cuts built
+    as the sorted distinct values of the knots clipped to the common
+    support, plus its ends where no clipped knot reaches them."""
+    from logcave.simulation import SQRT2, _adaptive_simpson
+
+    lo = max(float(fit_obj.sample.knots[0]), float(density.support[0]))
+    hi = min(float(fit_obj.sample.knots[-1]), float(density.support[1]))
+    if not hi > lo:
+        return SQRT2
+    cuts = np.unique(np.clip(fit_obj.sample.knots, lo, hi))
+    if cuts[0] > lo:
+        cuts = np.concatenate(([lo], cuts))
+    if cuts[-1] < hi:
+        cuts = np.concatenate((cuts, [hi]))
+
+    def integrand(x):
+        with np.errstate(over="ignore"):
+            return np.exp(0.5 * (fit_obj.log_pdf(x) + density.log_pdf(x)))
+
+    overlap = _adaptive_simpson(integrand, cuts[:-1], cuts[1:], tol)
+    return math.sqrt(min(max(2.0 * (1.0 - overlap), 0.0), 2.0))

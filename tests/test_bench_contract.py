@@ -17,11 +17,9 @@ def _reject_constant(name):
     raise ValueError(f"non-finite constant {name} in the report")
 
 
-@pytest.mark.parametrize("trace, kind", [(0, "end_to_end"),
-                                         (1, "per_layer")])
-def test_fit_large_report_is_strict_and_complete(trace, kind):
+def _check_report(workload, trace, kind):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "fit_large",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "2", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -34,3 +32,17 @@ def test_fit_large_report_is_strict_and_complete(trace, kind):
     for metric in declared:
         assert metric["name"] in metrics, metric["name"]
         assert math.isfinite(metrics[metric["name"]]["value"]), metric["name"]
+
+
+RUNS = pytest.mark.parametrize("trace, kind", [(0, "end_to_end"),
+                                               (1, "per_layer")])
+
+
+@RUNS
+def test_fit_large_report_is_strict_and_complete(trace, kind):
+    _check_report("fit_large", trace, kind)
+
+
+@RUNS
+def test_mc_small_report_is_strict_and_complete(trace, kind):
+    _check_report("mc_small", trace, kind)

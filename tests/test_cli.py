@@ -60,6 +60,19 @@ def test_simulate_command_does_not_load_scipy(tmp_path):
     assert out.stdout.split() == ["0", "[]"]
 
 
+def test_simulate_command_does_not_load_numpy_ma(tmp_path):
+    # the Hellinger cuts are built without np.unique, whose first call
+    # imports numpy.ma
+    argv = ["simulate", "--densities", "normal,gamma", "--sizes", "25",
+            "--replications", "1", "--output", str(tmp_path / "t.csv")]
+    code = ("import sys; from logcave import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+
+
 class TestIngest:
     def test_plain_numbers(self, tmp_path):
         p = tmp_path / "data.txt"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from logcave import rho_family
-from logcave._rho import SERIES_THRESHOLD, _rho0
+from logcave._rho import (SERIES_THRESHOLD, _rho0, segment_triple,
+                          segment_triples)
 
 from oracles import rho0_masked
 
@@ -93,3 +94,55 @@ def test_rho0_matches_masked_evaluation_bit_for_bit(dtype):
     got = _rho0(t, SERIES_THRESHOLD)
     want = rho0_masked(t, SERIES_THRESHOLD)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _regime_grid():
+    """Arguments at and around every regime boundary, plus random ones at
+    several scales."""
+    edges = [0.0, 1e-300, -1e-300, 689.9, 690.0, 700.0, -745.0]
+    for edge in (SERIES_THRESHOLD, -SERIES_THRESHOLD, 0.25, -0.25):
+        edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2 * edge)]
+    rng = np.random.default_rng(5)
+    scales = [rng.normal(0.0, s, 200) for s in (1e-5, 1e-2, 0.2, 2.0, 50.0)]
+    return np.concatenate([np.array(edges)] + scales)
+
+
+def test_scalar_segment_kernel_matches_rho_family():
+    # on a unit segment from 0 the kernel is (rho, rho', rho'').  math's
+    # exp and expm1 may differ from numpy's by an ulp, which the closed
+    # forms amplify near |t| = 0.25, most for rho''
+    t = _regime_grid()
+    want = rho_family(t)
+    got = np.array([segment_triple(0.0, float(x), 1.0) for x in t]).T
+    for order, bound in enumerate((4e-15, 3e-14, 3e-13)):
+        # rho''(700) overflows to inf in both
+        finite = np.isfinite(want[order])
+        assert np.array_equal(np.isfinite(got[order]), finite)
+        rel = (np.abs(got[order][finite] - want[order][finite])
+               / np.abs(want[order][finite]))
+        assert np.max(rel) < bound, order
+
+
+def test_scalar_segment_kernel_matches_segment_triples():
+    # random segments, including the t >= 690 rewrite and huge left values
+    rng = np.random.default_rng(8)
+    left = np.concatenate((rng.normal(0.0, 3.0, 300), [-700.0, -1000.0,
+                                                       -20.0, 5.0]))
+    right = left + np.concatenate((rng.normal(0.0, 2.0, 300),
+                                   [695.0, 1005.0, 0.1, -800.0]))
+    dx = rng.uniform(0.01, 3.0, left.size)
+    for i in range(left.size):
+        want = segment_triples(np.array([left[i], right[i]]), dx[i:i + 1])
+        got = segment_triple(float(left[i]), float(right[i]), float(dx[i]))
+        for g, w in zip(got, want):
+            assert g == pytest.approx(float(w[0]), rel=3e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("left, right", [(710.0, 710.5), (-1.0, 720.0),
+                                         (10.0, 711.0)])
+def test_scalar_segment_kernel_raises_where_numpy_overflows(left, right):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = segment_triples(np.array([left, right]), np.array([1.0]))
+    assert not all(np.isfinite(w[0]) for w in want)
+    with pytest.raises(OverflowError):
+        segment_triple(left, right, 1.0)

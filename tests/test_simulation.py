@@ -8,6 +8,8 @@ import pytest
 import logcave as lc
 from logcave.simulation import pdf_mass, _adaptive_simpson
 
+from oracles import hellinger_unique_cuts
+
 
 class TestReferencePdfs:
     def test_laplace_peak(self):
@@ -136,6 +138,17 @@ class TestHellinger:
                           limit=200, epsabs=1e-11)
         want = math.sqrt(2.0 * (1.0 - overlap))
         assert got == pytest.approx(want, abs=1e-7)
+
+    def test_cuts_match_clipped_unique_knots(self):
+        # every fit against every density, so that the common support
+        # clips the knots at either end in some pairs
+        densities = list(lc.REFERENCE_DENSITIES.values())
+        for seed, source in enumerate(densities):
+            data = lc.sample_true(source, seed, 60)
+            fit, _ = lc.fit(lc.validate_sample(data))
+            for density in densities:
+                assert (lc.hellinger(fit, density)
+                        == hellinger_unique_cuts(fit, density))
 
     def test_bounds_respected(self):
         fit = lc.LogConcaveFit(lc.validate_sample([0.0, 1.0]), np.zeros(2))

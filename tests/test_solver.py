@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import logcave as lc
 from logcave import solver
+from logcave._rho import segment_triples
 from logcave.errors import NoAscent
 from logcave.objective import ObjectiveWorkspace
 from logcave.solver import IcmState, _line_search
@@ -19,6 +20,7 @@ from oracles import (
     fit_moments,
     grid_search_loglik,
     kkt_residual_blocks,
+    newton_dense,
     projected_gradient_loglik,
     step_trial,
 )
@@ -511,6 +513,129 @@ class TestActiveSet:
                            lc.IcmConfig(max_iterations=1000))
         assert not report.converged
         assert report.iterations < 50
+
+
+def _kink_case(size, seed):
+    """(start, c, blocks) of a kink system with ``size`` random kinks on a
+    normal sample, started from the uniform density as ``fit`` starts."""
+    rng = np.random.default_rng(seed)
+    n = max(4 * size, 50)
+    x = np.sort(rng.normal(0.0, 1.0, n))
+    u = x - x[0]
+    inner = rng.choice(np.arange(1, n - 1), size - 2, replace=False)
+    kinks = np.sort(np.concatenate(([0, n - 1], inner)))
+    c, blocks = solver._kink_system(u, np.diff(x), kinks)
+    return np.full(size, -np.log(u[-1])), c, blocks
+
+
+def _assert_newtons_agree(start, c, blocks, config):
+    eta, value, steps = solver._newton(start, c, blocks, config)
+    want_eta, want_value, want_steps = newton_dense(start, c, blocks, config)
+    assert value == pytest.approx(want_value, rel=1e-12)
+    assert np.max(np.abs(eta - want_eta)) <= 1e-8
+    # the two solves round differently, and the last step taken can sit at
+    # the rounding floor of the gradient
+    assert abs(steps - want_steps) <= 1
+    return steps
+
+
+class TestNewton:
+    """The scalar Newton over the kink values against the dense solve."""
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 16, 64, 128, 512])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_solve(self, size, seed):
+        start, c, blocks = _kink_case(size, seed)
+        assert _assert_newtons_agree(start, c, blocks, lc.IcmConfig()) > 0
+
+    @pytest.mark.parametrize("size", [2, 5, 64])
+    def test_matches_dense_solve_across_large_t_segments(self, size):
+        start, c, blocks = _kink_case(size, 3)
+        start[0] = -700.0  # its first segment rises by more than 690
+        assert start[1] - start[0] >= 690.0
+        _assert_newtons_agree(start, c, blocks, lc.IcmConfig())
+
+    @pytest.mark.parametrize("size", [2, 5, 64])
+    def test_matches_dense_solve_when_the_full_step_overflows(self, size):
+        start, c, blocks = _kink_case(size, 4)
+        start[:] = -30.0  # tiny masses: the Newton step is about 1e13 long
+        st = solver.SERIES_THRESHOLD
+        args = (c.tolist(), blocks.tolist(), st)
+        _, grad, diag, off = solver._kink_pass(start.tolist(), *args)
+        delta = solver._thomas(diag, off, grad)
+        full = [e + d for e, d in zip(start.tolist(), delta)]
+        assert solver._kink_pass(full, *args)[0] == -np.inf
+        assert _assert_newtons_agree(start, c, blocks, lc.IcmConfig()) > 0
+
+    @pytest.mark.parametrize("size", [2, 5, 64, 512])
+    @pytest.mark.parametrize("shift, spread", [(-2.0, 1.0), (2.0, 2.0)])
+    def test_matches_dense_solve_with_one_halving(self, size, shift, spread):
+        # perturbed starts: some steps need their one halving (size 2 from
+        # below, 512 from above), some find no ascent and stop
+        start, c, blocks = _kink_case(size, 5)
+        start += shift + np.random.default_rng(1).normal(0.0, spread, size)
+        _assert_newtons_agree(start, c, blocks, lc.IcmConfig(max_halvings=1))
+
+    def test_start_that_overflows_takes_no_step(self):
+        start, c, blocks = _kink_case(5, 6)
+        start[2] = 720.0
+        eta, value, steps = solver._newton(start, c, blocks, lc.IcmConfig())
+        assert (value, steps) == (-np.inf, 0)
+        assert np.array_equal(eta, start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert newton_dense(start, c, blocks, lc.IcmConfig())[1:] == (
+                -np.inf, 0)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 512])
+    def test_thomas_sweep_matches_dense_solve(self, size):
+        # Hessians of random kink systems, which are positive definite
+        rng = np.random.default_rng(size)
+        eta = rng.normal(0.0, 2.0, size + 1)
+        m0, m1, m2 = segment_triples(eta, rng.uniform(0.1, 2.0, size))
+        diag = np.append(m0 - 2.0 * m1 + m2, 0.0)
+        diag[1:] += m2
+        off = m1 - m2
+        rhs = rng.normal(0.0, 1.0, size + 1)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        got = solver._thomas(diag.tolist(), off.tolist(), rhs.tolist())
+        want = np.linalg.solve(dense, rhs)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(
+            np.abs(want)))
+
+    def test_thomas_sweep_stops_at_a_nonpositive_pivot(self):
+        assert solver._thomas([1.0, 1.0], [2.0], [1.0, 1.0]) is None
+        assert solver._thomas([2.0, 2.0], [1.0], [3.0, 3.0]) == [1.0, 1.0]
+
+    def test_fits_take_the_dense_solves_iterations(self, monkeypatch):
+        # 300 samples drawn as the mc_small benchmark draws them at seed 11
+        samples = []
+        for index, density in enumerate(lc.REFERENCE_DENSITIES.values()):
+            for n, replications in ((25, 40), (50, 20)):
+                for m in range(replications):
+                    seed = np.random.SeedSequence(11,
+                                                  spawn_key=(index, n, m))
+                    samples.append(lc.validate_sample(
+                        lc.sample_true(density, seed, n), jitter_ties=True))
+
+        def run():
+            out = []
+            for sample in samples:
+                fit, report = lc.fit(sample)
+                assert report.converged
+                out.append((fit.log_likelihood, report.newton_steps,
+                            (report.iterations, report.kinks_added,
+                             report.kinks_dropped)))
+            return out
+
+        scalar = run()
+        monkeypatch.setattr(solver, "_newton", newton_dense)
+        dense = run()
+        for (loglik, steps, counts), (want_loglik, want_steps,
+                                      want_counts) in zip(scalar, dense):
+            assert counts == want_counts
+            assert abs(steps - want_steps) <= 1
+            assert loglik == pytest.approx(want_loglik, rel=1e-12)
+        assert sum(want_counts[0] for _, _, want_counts in dense) == 1708
 
 
 def test_subnormal_data_fail_loudly():
