@@ -11,7 +11,9 @@ Hellinger convergence against known log-concave densities.
 
 __version__ = "0.1.0"
 
+from ._rho import rho_family  # noqa: F401
 from .errors import (  # noqa: F401
+    BadConfig,
     BadCount,
     BadGrid,
     DegenerateVariance,
@@ -37,25 +39,15 @@ from .model import (  # noqa: F401
     theta_from_omega,
     validate_sample,
 )
-from .objective import (  # noqa: F401
-    ObjectiveWorkspace,
-    diag_curvature,
-    grad_phi,
-    omega1_from_constraint,
-    phi,
-    rho_family,
-)
+from .objective import ObjectiveWorkspace  # noqa: F401
 from .solver import (  # noqa: F401
     IcmConfig,
     IcmReport,
-    IcmState,
     concave_majorant_slopes,
     fit,
     fit_icm,
-    icm_candidate,
     initialize_normal,
     kkt_residual,
-    line_search,
 )
 from .simulation import (  # noqa: F401
     BETA,

@@ -10,10 +10,11 @@ interval, weighted by 1, s and s^2:
 The closed forms cancel catastrophically near t = 0, so evaluation is
 split into three regimes:
 
-* |t| <  series_threshold : cubic Taylor polynomials (exact to ~1e-18
-  relative at the default threshold 1e-4),
+* |t| <  SERIES_THRESHOLD : cubic Taylor polynomials (exact to ~1e-18
+  relative),
 * |t| <  0.25             : the full Taylor series truncated once terms
-  drop below double rounding,
+  drop below double rounding (rho alone uses expm1(t)/t, which is
+  well-conditioned there),
 * |t| >= 0.25             : closed forms via expm1, where the worst
   cancellation is ~0.25-deep and costs under two digits.
 """
@@ -56,13 +57,13 @@ def _horner(coeff, t):
     return out
 
 
-def _rho_triple(t, series_threshold):
+def _rho_triple(t):
     """(rho, rho', rho'') elementwise on a 1-D float array, one pass."""
     r0 = np.empty_like(t)
     r1 = np.empty_like(t)
     r2 = np.empty_like(t)
     a = np.abs(t)
-    tiny = a < series_threshold
+    tiny = a < SERIES_THRESHOLD
     big = a >= _SERIES_CUT
     mid = ~(tiny | big)
     if tiny.any():
@@ -86,13 +87,27 @@ def _rho_triple(t, series_threshold):
     return r0, r1, r2
 
 
+def _steep(t, el, er):
+    """e^{theta_left} * (rho, rho', rho'')(t) for t >= _BIG_T, given
+    el = e^{theta_left} and er = e^{theta_right}; arrays or Python floats.
+
+    Written in e^{theta_right}, so that a steep segment rising from a
+    deeply negative left end, where el underflows and e^t overflows, does
+    not hit 0*inf.
+    """
+    tt = t * t
+    return ((er - el) / t,
+            ((t - 1.0) * er + el) / tt,
+            ((tt - 2.0 * t + 2.0) * er - 2.0 * el) / (tt * t))
+
+
 # the Taylor coefficients as rows (c0_k, c1_k, c2_k) from the highest k
 # down, for one Horner pass over all three orders on Python floats
 _ROWS = tuple(zip(_C0[::-1].tolist(), _C1[::-1].tolist(), _C2[::-1].tolist()))
 _CUBIC_ROWS = _ROWS[-4:]
 
 
-def segment_triple(left, right, dx, series_threshold=SERIES_THRESHOLD):
+def segment_triple(left, right, dx):
     """(m0, m1, m2) of one segment on Python floats: ``segment_triples``
     for a single segment, with the same regimes and large-t rewrite.
 
@@ -103,15 +118,11 @@ def segment_triple(left, right, dx, series_threshold=SERIES_THRESHOLD):
     """
     t = right - left
     if t >= _BIG_T:
-        el = math.exp(left)
-        er = math.exp(right)
-        tt = t * t
-        return ((er - el) / t * dx,
-                ((t - 1.0) * er + el) / tt * dx,
-                ((tt - 2.0 * t + 2.0) * er - 2.0 * el) / (tt * t) * dx)
+        return tuple(m * dx for m in _steep(t, math.exp(left),
+                                             math.exp(right)))
     a = abs(t)
     if a < _SERIES_CUT:
-        rows = _CUBIC_ROWS if a < series_threshold else _ROWS
+        rows = _CUBIC_ROWS if a < SERIES_THRESHOLD else _ROWS
         r0, r1, r2 = rows[0]
         for c0, c1, c2 in rows[1:]:
             r0 = r0 * t + c0
@@ -127,7 +138,7 @@ def segment_triple(left, right, dx, series_threshold=SERIES_THRESHOLD):
     return r0 * w, r1 * w, r2 * w
 
 
-def _rho0(t, series_threshold):
+def _rho0(t):
     """rho alone; expm1/t is well-conditioned outside the series branch.
 
     The closed form runs over the whole array (t = 0 gives nan there), and
@@ -135,7 +146,7 @@ def _rho0(t, series_threshold):
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.expm1(t) / t
-    tiny = np.abs(t) < series_threshold
+    tiny = np.abs(t) < SERIES_THRESHOLD
     if tiny.any():
         out[tiny] = _horner(_C0[:4], t[tiny])
     return out
@@ -148,15 +159,13 @@ def _as_float_array(t):
     return t
 
 
-def rho_family(t, series_threshold=SERIES_THRESHOLD):
+def rho_family(t):
     """Evaluate (rho, rho', rho'') elementwise.
 
     Parameters
     ----------
     t : float or array-like
         Finite argument(s).
-    series_threshold : float
-        Below this magnitude the cubic Taylor branch is used.
 
     Returns
     -------
@@ -164,91 +173,58 @@ def rho_family(t, series_threshold=SERIES_THRESHOLD):
     """
     t_arr = _as_float_array(t)
     scalar = t_arr.ndim == 0
-    r0, r1, r2 = _rho_triple(np.atleast_1d(t_arr), series_threshold)
+    r0, r1, r2 = _rho_triple(np.atleast_1d(t_arr))
     if scalar:
         return float(r0[0]), float(r1[0]), float(r2[0])
     return r0, r1, r2
 
 
-def segment_masses(theta, dx, series_threshold=SERIES_THRESHOLD):
+def segment_masses(theta, dx):
     """Per-segment masses e^{theta_left} * rho(t) * dx for the piecewise
     exp-linear function with knot values theta (t = successive theta
-    differences).
-
-    Huge positive t is rewritten in terms of e^{theta_right} so that steep
-    segments rising from a deeply negative left endpoint do not hit 0*inf.
+    differences).  This is the exact integral of the exponential of the
+    chord over each segment.
     """
     t = np.diff(theta)
-    r0 = _rho0(t, series_threshold)
+    r0 = _rho0(t)
     big = t >= _BIG_T
     if not big.any():
         return np.exp(theta[:-1]) * r0 * dx
     with np.errstate(invalid="ignore", over="ignore"):
         masses = np.exp(theta[:-1]) * r0 * dx
-    x = t[big]
-    masses[big] = ((np.exp(theta[1:][big]) - np.exp(theta[:-1][big])) / x
-                   * dx[big])
+    masses[big] = _steep(t[big], np.exp(theta[:-1][big]),
+                         np.exp(theta[1:][big]))[0] * dx[big]
     return masses
 
 
-def segment_triples(theta, dx, series_threshold=SERIES_THRESHOLD):
+def segment_triples(theta, dx):
     """(m0, m1, m2) with m_k = e^{theta_left} * rho^(k)(t) * dx, sharing one
     exponential and one branch classification across the three orders."""
     t = np.diff(theta)
-    r0, r1, r2 = _rho_triple(t, series_threshold)
+    r0, r1, r2 = _rho_triple(t)
     el = np.exp(theta[:-1])
     w = el * dx
     big = t >= _BIG_T
     if not big.any():
         return r0 * w, r1 * w, r2 * w
     with np.errstate(invalid="ignore", over="ignore"):
-        m0, m1, m2 = r0 * w, r1 * w, r2 * w
-    x = t[big]
-    er = np.exp(theta[1:][big])
-    elb = el[big]
-    xx = x * x
+        parts = r0 * w, r1 * w, r2 * w
     dxb = dx[big]
-    m0[big] = (er - elb) / x * dxb
-    m1[big] = ((x - 1.0) * er + elb) / xx * dxb
-    m2[big] = ((xx - 2.0 * x + 2.0) * er - 2.0 * elb) / (xx * x) * dxb
-    return m0, m1, m2
+    for part, steep in zip(parts, _steep(t[big], el[big],
+                                         np.exp(theta[1:][big]))):
+        part[big] = steep * dxb
+    return parts
 
 
-def weighted_rho_parts(t, theta_left, theta_right,
-                       series_threshold=SERIES_THRESHOLD, order=0):
-    """Elementwise e^{theta_left} * rho^(order)(t), assuming
+def weighted_rho_parts(t, theta_left, theta_right):
+    """Elementwise e^{theta_left} * rho(t), assuming
     t = theta_right - theta_left (used by partial-segment integrals)."""
     t = _as_float_array(t)
     theta_left = np.asarray(theta_left)
-    theta_right = np.asarray(theta_right)
     big = t >= _BIG_T
-    out = np.empty_like(t)
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(theta_left) * _rho0(t)
     if big.any():
-        x = t[big]
-        el = np.exp(theta_left[big])
-        er = np.exp(theta_right[big])
-        if order == 0:
-            out[big] = (er - el) / x
-        elif order == 1:
-            out[big] = ((x - 1.0) * er + el) / (x * x)
-        else:
-            out[big] = ((x * x - 2.0 * x + 2.0) * er - 2.0 * el) / (x ** 3)
-    rest = ~big
-    if rest.any():
-        r = _rho_triple(t[rest], series_threshold)[order]
-        out[rest] = np.exp(theta_left[rest]) * r
+        out[big] = _steep(t[big], np.exp(theta_left[big]),
+                          np.exp(np.asarray(theta_right)[big]))[0]
     return out
-
-
-def exp_weighted_rho(theta, dx, series_threshold=SERIES_THRESHOLD, order=0):
-    """Per-segment weighted integrals e^{theta_left} * rho^(order)(t) * dx.
-
-    ``theta`` has length n, ``dx`` length n-1; segment j runs between knots
-    j-1 and j with t_j = theta_j - theta_{j-1}.  With order 0 this is the
-    exact mass of the exponential of the chord over segment j.
-    """
-    theta = np.asarray(theta)
-    dx = np.asarray(dx)
-    return weighted_rho_parts(np.diff(theta), theta[:-1], theta[1:],
-                              series_threshold, order) * dx

@@ -71,3 +71,8 @@ class BadGrid(LogcaveError):
 
 class BadCount(LogcaveError):
     """A requested draw count is invalid."""
+
+
+class BadConfig(LogcaveError, ValueError):
+    """A solver setting is not a finite positive number (or, for counts, a
+    positive integer)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rho import SERIES_THRESHOLD, exp_weighted_rho, weighted_rho_parts
+from ._rho import SERIES_THRESHOLD, segment_masses, weighted_rho_parts
 from .errors import (
     LengthMismatch,
     NonFinite,
@@ -138,7 +138,7 @@ def omega_from_theta(theta, sample):
     return OmegaVector(float(theta[0]), np.diff(theta) / sample.gaps)
 
 
-def normalization_mass(theta, sample, series_threshold=SERIES_THRESHOLD):
+def normalization_mass(theta, sample):
     """Total mass of the piecewise exp-linear density with knot values theta.
 
     Each segment contributes e^{theta_{j-1}} * rho(theta_j - theta_{j-1})
@@ -148,7 +148,7 @@ def normalization_mass(theta, sample, series_threshold=SERIES_THRESHOLD):
     theta = np.asarray(theta, dtype=float)
     if theta.size != sample.n:
         raise LengthMismatch(f"expected {sample.n} theta values, got {theta.size}")
-    return float(np.sum(exp_weighted_rho(theta, sample.gaps, series_threshold)))
+    return float(np.sum(segment_masses(theta, sample.gaps)))
 
 
 class LogConcaveFit:
@@ -167,7 +167,7 @@ class LogConcaveFit:
         if slopes is None:
             slopes = np.diff(self.theta) / sample.gaps
         self.slopes = np.asarray(slopes, dtype=float)
-        self._segment_mass = exp_weighted_rho(self.theta, sample.gaps)
+        self._segment_mass = segment_masses(self.theta, sample.gaps)
         self._cum_mass = np.concatenate(([0.0], np.cumsum(self._segment_mass)))
         self.mass = float(self._cum_mass[-1])
         self.normalized = abs(self.mass - 1.0) <= MASS_TOLERANCE

@@ -16,20 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rho import (  # noqa: F401  (rho_family is re-exported here)
-    SERIES_THRESHOLD,
-    rho_family,
-    segment_masses,
-    segment_triples,
-)
+from ._rho import segment_masses, segment_triples
 from .errors import StepFailure
 from .model import theta_from_omega
 
 # theta values above this would overflow exp(); phi returns -inf instead so
 # the line search backs off, and derivative evaluations refuse the point.
 THETA_CAP = 700.0
-
-CURVATURE_FLOOR = 1e-12
 
 
 @dataclass
@@ -43,8 +36,6 @@ class ObjectiveWorkspace:
     """
 
     sample: object
-    series_threshold: float = SERIES_THRESHOLD
-    curvature_floor: float = CURVATURE_FLOOR
 
     def __post_init__(self):
         self.n = self.sample.n
@@ -65,8 +56,7 @@ class ObjectiveWorkspace:
         theta = self.theta(omega)
         if np.max(theta) > THETA_CAP:
             return -np.inf
-        mass = float(np.sum(segment_masses(theta, self.dx,
-                                           self.series_threshold)))
+        mass = float(np.sum(segment_masses(theta, self.dx)))
         return (self.n * omega.intercept
                 + float(self.linear_weights @ omega.slopes)
                 - self.n * mass)
@@ -76,7 +66,7 @@ class ObjectiveWorkspace:
         if np.max(theta) > THETA_CAP:
             raise StepFailure("theta exceeds the exp overflow cap")
         # m0/m1/m2: e^{theta_{k-1}} rho^(j)(t_k) dx_k for one shared pass
-        m0, m1, m2 = segment_triples(theta, self.dx, self.series_threshold)
+        m0, m1, m2 = segment_triples(theta, self.dx)
         mass = float(np.sum(m0))
         tail = mass - np.cumsum(m0)  # sum over segments j > k
         grad = np.empty(self.n)
@@ -91,18 +81,11 @@ class ObjectiveWorkspace:
         """Length-n gradient; entry 0 is d(phi)/d(omega_1)."""
         return self._grad_curv(omega, with_curvature=False)[0]
 
-    def curvature(self, omega, floored=True):
-        """Positive diagonal d_k = -d^2(phi)/d(omega_k)^2 for k = 2..n."""
-        d = self._grad_curv(omega)[1]
-        if floored:
-            d = np.maximum(d, self.curvature_floor * max(1.0, float(d.max())))
-        return d
-
     def derivatives(self, omega):
-        """(gradient, floored curvature) sharing one pass over the segments."""
-        grad, d = self._grad_curv(omega)
-        d = np.maximum(d, self.curvature_floor * max(1.0, float(d.max())))
-        return grad, d
+        """(gradient, curvature) sharing one pass over the segments; the
+        curvature is the diagonal d_k = -d^2(phi)/d(omega_k)^2 > 0 for
+        k = 2..n, exact (the solver floors it where it uses it)."""
+        return self._grad_curv(omega)
 
     def manifold_phi(self, slopes, dtype=np.longdouble):
         """(objective, intercept) at the given slopes, with the intercept
@@ -129,8 +112,7 @@ class ObjectiveWorkspace:
         partial[0] = 0.0
         np.cumsum(dx * s, out=partial[1:])
         shift = partial.max()
-        total = np.sum(segment_masses(partial - shift, dx,
-                                      self.series_threshold))
+        total = np.sum(segment_masses(partial - shift, dx))
         intercept = -(shift + np.log(total))
         if intercept + shift > THETA_CAP:
             return -np.inf, intercept
@@ -142,25 +124,3 @@ class ObjectiveWorkspace:
         """Intercept making the density integrate to exactly one."""
         return self.manifold_phi(slopes, float)[1]
 
-
-def phi(omega, sample, series_threshold=SERIES_THRESHOLD):
-    """Objective value at omega (monotonicity of the slopes not required)."""
-    return ObjectiveWorkspace(sample, series_threshold).phi(omega)
-
-
-def grad_phi(omega, sample, series_threshold=SERIES_THRESHOLD):
-    """Gradient of phi; entry 0 is the intercept derivative n*(1 - mass)."""
-    return ObjectiveWorkspace(sample, series_threshold).gradient(omega)
-
-
-def diag_curvature(omega, sample, series_threshold=SERIES_THRESHOLD,
-                   curvature_floor=CURVATURE_FLOOR, floored=True):
-    """Negated second derivatives in each slope coordinate (positive)."""
-    return ObjectiveWorkspace(sample, series_threshold,
-                              curvature_floor).curvature(omega, floored)
-
-
-def omega1_from_constraint(slopes, sample, series_threshold=SERIES_THRESHOLD):
-    """Intercept solving the unit-mass side condition for given slopes."""
-    return ObjectiveWorkspace(sample, series_threshold).restore_intercept(
-        np.asarray(slopes, dtype=float))

@@ -51,6 +51,7 @@ mutable state and may run concurrently.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -58,6 +59,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DegenerateVariance,
     InfeasiblePoint,
     NoAscent,
@@ -66,7 +68,7 @@ from .errors import (
 )
 from ._rho import segment_triple, segment_triples
 from .model import LogConcaveFit, OmegaVector, theta_from_omega
-from .objective import CURVATURE_FLOOR, SERIES_THRESHOLD, ObjectiveWorkspace
+from .objective import ObjectiveWorkspace
 
 # certificate tolerances below this are taken as this: the directional
 # derivatives are sums of rounded masses and cannot resolve much less
@@ -88,6 +90,11 @@ _MAX_NEWTON_STEPS = 100
 # second order, since the Newton solution is stationary over those kinks.
 _CONCAVITY_SLACK = 1e-10
 
+# ICM's surrogate weights are the curvatures raised to at least this
+# fraction of the largest one (and of 1), so that a curvature that
+# underflows still gives the projection a positive weight
+CURVATURE_FLOOR = 1e-12
+
 
 @dataclass
 class IcmConfig:
@@ -98,28 +105,24 @@ class IcmConfig:
     max_halvings the step halvings of each Newton step.  For ``fit_icm``,
     the stopping rule accepts two consecutive objective values within
     phi_tolerance relatively, and halvings bound the binary line search.
+    A setting that is not finite and positive, or a count that is not an
+    integer, raises BadConfig.
     """
 
     phi_tolerance: float = 1e-8
     max_iterations: int = 1000
     max_halvings: int = 60
-    series_threshold: float = SERIES_THRESHOLD
-    curvature_floor: float = CURVATURE_FLOOR
 
     def __post_init__(self):
-        for name in ("phi_tolerance", "max_iterations", "max_halvings",
-                     "series_threshold", "curvature_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class IcmState:
-    """Current iterate: feasible omega, its objective value, iteration index."""
-
-    omega: OmegaVector
-    phi: float
-    iteration: int = 0
+        for name, kind, wanted in (
+                ("phi_tolerance", numbers.Real, "a finite positive number"),
+                ("max_iterations", numbers.Integral, "a positive integer"),
+                ("max_halvings", numbers.Integral, "a positive integer")):
+            value = getattr(self, name)
+            # the chained comparison is false for nan and inf
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not 0 < value < math.inf):
+                raise BadConfig(f"{name} must be {wanted}, got {value!r}")
 
 
 @dataclass
@@ -193,29 +196,19 @@ def concave_majorant_slopes(d, v):
 
 
 def _candidate_slopes(ws, omega):
+    """Slopes maximizing ICM's diagonal quadratic surrogate at omega over
+    the cone of nonincreasing slopes; the line search decides how far to
+    move towards them."""
     grad, curv = ws.derivatives(omega)
+    curv = np.maximum(curv, CURVATURE_FLOOR * max(1.0, float(curv.max())))
     values = curv * omega.slopes + grad[1:]
     return concave_majorant_slopes(curv, values)
 
 
-def icm_candidate(state, sample, config=None):
-    """One surrogate maximization from the current iterate.
-
-    Computes the gradient and negated diagonal curvatures, projects onto
-    the cone, and restores the intercept.  The candidate is not yet
-    accepted; the line search decides.
-    """
-    config = config or IcmConfig()
-    ws = ObjectiveWorkspace(sample, config.series_threshold,
-                            config.curvature_floor)
-    slopes = _candidate_slopes(ws, state.omega)
-    return OmegaVector(float(ws.restore_intercept(slopes)), slopes)
-
-
 def _line_search(ws, slopes0, phi0, candidate_slopes, max_halvings,
                  dtype=np.longdouble, start=0):
-    """Engine shared by line_search and _run_icm: the largest step 2^-k,
-    k <= max_halvings, whose trial point increases phi above phi0.
+    """ICM's line search: the largest step 2^-k, k <= max_halvings, whose
+    trial point increases phi above phi0.
 
     Returns (slopes, intercept, phi, k) of the accepted trial; objective
     values are compared on the constraint manifold in the given precision.
@@ -251,43 +244,28 @@ def _line_search(ws, slopes0, phi0, candidate_slopes, max_halvings,
     raise NoAscent(f"no objective increase within {max_halvings} halvings")
 
 
-def line_search(state, candidate, config, sample):
-    """Backtrack along the segment to the candidate until phi strictly
-    increases; returns the accepted point and the step size used.
-
-    The intercept is restored from the side condition at every trial, so
-    points are compared on the constraint manifold and every trial keeps
-    nonincreasing slopes (the cone is convex)."""
-    ws = ObjectiveWorkspace(sample, config.series_threshold,
-                            config.curvature_floor)
-    slopes, intercept, _, k = _line_search(ws, state.omega.slopes,
-                                           np.longdouble(state.phi),
-                                           candidate.slopes,
-                                           config.max_halvings)
-    return OmegaVector(float(intercept), slopes), 0.5 ** k
-
-
-def _run_icm(ws, omega0, config):
+def _run_icm(ws, omega, config):
+    """ICM iterations from omega; returns (last iterate, phi_trace, step
+    sizes, converged), with the iterate's objective last in phi_trace."""
     # run with fast double-precision comparisons until they stall or the
     # stopping rule would fire, then confirm and finish in extended
     # precision so the endgame is not limited by double rounding
     dtype = float
-    phi_value, _ = ws.manifold_phi(omega0.slopes, dtype)
-    state = IcmState(omega0, float(phi_value), 0)
+    phi_value, _ = ws.manifold_phi(omega.slopes, dtype)
     trace = [float(phi_value)]
     steps = []
     converged = False
     halvings = 0
-    for iteration in range(1, config.max_iterations + 1):
+    for _ in range(config.max_iterations):
         try:
-            candidate = _candidate_slopes(ws, state.omega)
+            candidate = _candidate_slopes(ws, omega)
             slopes, intercept, new_phi, halvings = _line_search(
-                ws, state.omega.slopes, phi_value, candidate,
+                ws, omega.slopes, phi_value, candidate,
                 config.max_halvings, dtype, start=halvings)
         except NoAscent:
             if dtype is float:
                 dtype = np.longdouble
-                phi_value, _ = ws.manifold_phi(state.omega.slopes, dtype)
+                phi_value, _ = ws.manifold_phi(omega.slopes, dtype)
                 continue
             converged = True
             break
@@ -297,8 +275,7 @@ def _run_icm(ws, omega0, config):
         trace.append(float(new_phi))
         previous = phi_value
         phi_value = new_phi
-        state = IcmState(OmegaVector(float(intercept), slopes),
-                         float(new_phi), iteration)
+        omega = OmegaVector(float(intercept), slopes)
         if abs(new_phi - previous) <= config.phi_tolerance * (1.0 + abs(previous)):
             if dtype is float:
                 dtype = np.longdouble
@@ -306,7 +283,7 @@ def _run_icm(ws, omega0, config):
                 continue
             converged = True
             break
-    return state, trace, steps, converged
+    return omega, trace, steps, converged
 
 
 def fit_icm(sample, config=None):
@@ -319,9 +296,8 @@ def fit_icm(sample, config=None):
     MLE; the report's certificate measures that.
     """
     config = config or IcmConfig()
-    ws = ObjectiveWorkspace(sample, config.series_threshold,
-                            config.curvature_floor)
-    state, trace, steps, converged = _run_icm(ws, _normal_start(ws), config)
+    ws = ObjectiveWorkspace(sample)
+    omega, trace, steps, converged = _run_icm(ws, _normal_start(ws), config)
     initializer = "normal"
     if not steps:
         # the normal start made no progress at all; retry from the uniform
@@ -329,27 +305,25 @@ def fit_icm(sample, config=None):
         zero = np.zeros(sample.n - 1)
         uniform0 = OmegaVector(ws.restore_intercept(zero), zero)
         alt = _run_icm(ws, uniform0, config)
-        if alt[0].phi > state.phi:
-            state, trace, steps, converged = alt
+        if alt[1][-1] > trace[-1]:
+            omega, trace, steps, converged = alt
             initializer = "uniform"
 
-    theta = theta_from_omega(state.omega, sample)
+    theta = theta_from_omega(omega, sample)
     fit_obj = LogConcaveFit(sample, theta,
-                            log_likelihood=state.phi + sample.n,
-                            slopes=state.omega.slopes)
+                            log_likelihood=trace[-1] + sample.n,
+                            slopes=omega.slopes)
     report = IcmReport(
         phi_trace=np.asarray(trace),
         step_sizes=np.asarray(steps),
         converged=converged,
         iterations=len(steps),
-        kkt_residual=kkt_residual(state.omega, sample,
-                                  series_threshold=config.series_threshold),
+        kkt_residual=kkt_residual(omega, sample),
         initializer=initializer,
         phi_evaluations=ws.phi_evaluations,
         certificate=_certificate(
-            _directional_derivatives(theta, sample.gaps,
-                                     config.series_threshold),
-            sample.gaps, _kinks_of(state.omega.slopes)),
+            _directional_derivatives(theta, sample.gaps),
+            sample.gaps, _kinks_of(omega.slopes)),
     )
     return fit_obj, report
 
@@ -361,7 +335,7 @@ def _kinks_of(slopes):
     return np.concatenate(([0], np.flatnonzero(drop) + 1, [slopes.size]))
 
 
-def _directional_derivatives(theta, gaps, series_threshold):
+def _directional_derivatives(theta, gaps):
     """Derivative of the objective per observation along -(x - x_j)_+ at
     every knot j, for the density with knot log-densities theta.
 
@@ -370,7 +344,7 @@ def _directional_derivatives(theta, gaps, series_threshold):
     D_j <= 0 everywhere, with equality at its kinks.
     """
     n = theta.size
-    m0, m1, _ = segment_triples(theta, gaps, series_threshold)
+    m0, m1, _ = segment_triples(theta, gaps)
     model_tail = np.cumsum(m0[::-1])[::-1]
     model_tail = np.append(model_tail[1:], 0.0)
     empirical_tail = np.arange(n - 1, 0, -1) / n
@@ -402,7 +376,7 @@ def _kink_system(u, gaps, kinks):
     return c / n, blocks
 
 
-def _kink_pass(eta, c, blocks, series_threshold):
+def _kink_pass(eta, c, blocks):
     """Objective, gradient and the diagonal and off-diagonal of the negated
     Hessian of the kink objective at eta, in one pass over the segments.
 
@@ -416,8 +390,7 @@ def _kink_pass(eta, c, blocks, series_threshold):
     try:
         for l, dx in enumerate(blocks):
             left1, left2 = m1, m2
-            m0, m1, m2 = segment_triple(eta[l], eta[l + 1], dx,
-                                        series_threshold)
+            m0, m1, m2 = segment_triple(eta[l], eta[l + 1], dx)
             mass += m0
             grad.append(c[l] - (m0 - m1) - left1)
             diag.append(m0 - 2.0 * m1 + m2 + left2)
@@ -463,11 +436,10 @@ def _newton(eta, c, blocks, config):
     gives the next step's derivatives.  Steps are accepted on a strict
     increase only: accepting an equal value lets rounding noise keep the
     iteration going without progress."""
-    st = config.series_threshold
     c = c.tolist()
     blocks = blocks.tolist()
     eta = eta.tolist()
-    value, grad, diag, off = _kink_pass(eta, c, blocks, st)
+    value, grad, diag, off = _kink_pass(eta, c, blocks)
     steps = 0
     last = math.inf
     while steps < _MAX_NEWTON_STEPS:
@@ -481,12 +453,12 @@ def _newton(eta, c, blocks, config):
             if decrement >= last:
                 break
             eta = [e + d for e, d in zip(eta, delta)]
-            value, grad, diag, off = _kink_pass(eta, c, blocks, st)
+            value, grad, diag, off = _kink_pass(eta, c, blocks)
         else:
             for k in range(config.max_halvings + 1):
                 h = 0.5 ** k
                 trial = [e + h * d for e, d in zip(eta, delta)]
-                point = _kink_pass(trial, c, blocks, st)
+                point = _kink_pass(trial, c, blocks)
                 if point[0] > value:
                     break
             else:
@@ -516,11 +488,10 @@ def _active_set(u, gaps, config):
     span = float(u[-1])
     relative_tolerance = max(config.phi_tolerance, CERTIFICATE_FLOOR)
     tolerance = relative_tolerance * span
-    st = config.series_threshold
     kinks = np.array([0, n - 1])
     eta = np.full(2, -np.log(span))  # the uniform density
     c, blocks = _kink_system(u, gaps, kinks)
-    trace = [_kink_pass(eta.tolist(), c.tolist(), blocks.tolist(), st)[0]]
+    trace = [_kink_pass(eta.tolist(), c.tolist(), blocks.tolist())[0]]
     steps = []
     newton_steps = added = dropped = 0
     added_at = -np.inf  # objective when the last kink was added
@@ -546,7 +517,7 @@ def _active_set(u, gaps, config):
             if step > 0.0:
                 steps.append(step)
                 trace.append(_kink_pass(eta.tolist(), c.tolist(),
-                                        blocks.tolist(), st)[0])
+                                        blocks.tolist())[0])
             kinks, eta = kinks[keep], eta[keep]
             c, blocks = _kink_system(u, gaps, kinks)
             continue
@@ -554,7 +525,7 @@ def _active_set(u, gaps, config):
         steps.append(1.0)
         trace.append(value)
         theta = np.interp(u, u[kinks], eta)
-        candidates = _directional_derivatives(theta, gaps, st)
+        candidates = _directional_derivatives(theta, gaps)
         candidates[kinks] = -np.inf
         best = int(np.argmax(candidates))
         if not candidates[best] > tolerance:
@@ -571,7 +542,7 @@ def _active_set(u, gaps, config):
         added += 1
         c, blocks = _kink_system(u, gaps, kinks)
     theta = np.interp(u, u[kinks], eta)
-    certificate = _certificate(_directional_derivatives(theta, gaps, st),
+    certificate = _certificate(_directional_derivatives(theta, gaps),
                                gaps, kinks)
     # the certificate also holds the derivatives at the kinks, which only
     # the Newton solution makes vanish
@@ -606,7 +577,7 @@ def fit(sample, config=None):
     u = positions / sd
     kinks, eta, blocks, run = _active_set(u, gaps, config)
 
-    ws = ObjectiveWorkspace(sample, config.series_threshold)
+    ws = ObjectiveWorkspace(sample)
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.minimum.accumulate(
             np.repeat(np.diff(eta) / blocks / sd, np.diff(kinks)))
@@ -621,8 +592,7 @@ def fit(sample, config=None):
     # per observation and standardized -> log-likelihood - n in raw units
     run["phi_trace"] = sample.n * (run["phi_trace"] - np.log(sd))
     report = IcmReport(
-        kkt_residual=kkt_residual(omega, sample,
-                                  series_threshold=config.series_threshold),
+        kkt_residual=kkt_residual(omega, sample),
         initializer="linear",
         phi_evaluations=ws.phi_evaluations,
         **run,
@@ -630,8 +600,7 @@ def fit(sample, config=None):
     return fit_obj, report
 
 
-def kkt_residual(omega, sample, block_tol=None,
-                 series_threshold=SERIES_THRESHOLD):
+def kkt_residual(omega, sample, block_tol=None):
     """First-order optimality violation at a feasible point.
 
     Zero at the solution.  The residual is the largest of: the intercept
@@ -639,7 +608,7 @@ def kkt_residual(omega, sample, block_tol=None,
     slopes, and the positive part of the gradient prefix sums within
     blocks (the majorant touching conditions).
     """
-    ws = ObjectiveWorkspace(sample, series_threshold)
+    ws = ObjectiveWorkspace(sample)
     slopes = omega.slopes
     if np.any(slopes[:-1] < slopes[1:]):
         raise InfeasiblePoint("slopes are not nonincreasing")

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from logcave._rho import segment_masses, segment_triples
+from logcave._rho import SERIES_THRESHOLD, segment_masses, segment_triples
 from logcave.errors import NoAscent, NonPositiveWeight
 from logcave.solver import (_DECREMENT_FLOOR, _MAX_NEWTON_STEPS,
                             _UNCHECKED_DECREMENT)
@@ -24,12 +24,12 @@ def rho_of(t):
     return out
 
 
-def rho0_masked(t, series_threshold):
+def rho0_masked(t):
     """rho with the series and closed-form entries gathered and scattered
-    separately: the cubic Taylor polynomial for |t| < series_threshold,
+    separately: the cubic Taylor polynomial for |t| < SERIES_THRESHOLD,
     expm1(t)/t elsewhere."""
     out = np.empty_like(t)
-    tiny = np.abs(t) < series_threshold
+    tiny = np.abs(t) < SERIES_THRESHOLD
     if tiny.any():
         x = t[tiny]
         out[tiny] = 1.0 + x * (1.0 / 2 + x * (1.0 / 6 + x * (1.0 / 24)))
@@ -298,12 +298,11 @@ def quad_pdf(fit, lo, hi):
     return value
 
 
-def kink_objective_dense(eta, c, blocks, series_threshold):
+def kink_objective_dense(eta, c, blocks):
     """The kink objective c.eta - sum of segment masses, -inf where it is
     not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = c @ eta - np.sum(segment_masses(eta, blocks,
-                                                series_threshold))
+        value = c @ eta - np.sum(segment_masses(eta, blocks))
     return value if np.isfinite(value) else -np.inf
 
 
@@ -312,12 +311,11 @@ def newton_dense(eta, c, blocks, config):
     tridiagonal Hessian assembled as a dense matrix and solved by LAPACK;
     the same step rules as ``solver._newton``.  Returns (maximizer,
     objective, Newton steps)."""
-    st = config.series_threshold
-    value = kink_objective_dense(eta, c, blocks, st)
+    value = kink_objective_dense(eta, c, blocks)
     steps = 0
     last = np.inf
     while steps < _MAX_NEWTON_STEPS:
-        m0, m1, m2 = segment_triples(eta, blocks, st)
+        m0, m1, m2 = segment_triples(eta, blocks)
         grad = c.copy()
         grad[:-1] -= m0 - m1
         grad[1:] -= m1
@@ -337,11 +335,11 @@ def newton_dense(eta, c, blocks, config):
             if decrement >= last:
                 break
             eta = eta + delta
-            value = kink_objective_dense(eta, c, blocks, st)
+            value = kink_objective_dense(eta, c, blocks)
         else:
             for k in range(config.max_halvings + 1):
                 trial = eta + 0.5 ** k * delta
-                trial_value = kink_objective_dense(trial, c, blocks, st)
+                trial_value = kink_objective_dense(trial, c, blocks)
                 if trial_value > value:
                     break
             else:

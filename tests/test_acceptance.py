@@ -15,7 +15,7 @@ import pytest
 
 import logcave as lc
 from logcave.errors import NoAscent
-from logcave.solver import IcmState
+from logcave.solver import _candidate_slopes, _line_search
 
 from oracles import (
     concave_majorant_slopes_minmax,
@@ -47,7 +47,8 @@ def feasible_omega(sample, rng):
     drops = rng.uniform(0.02, 0.25, sample.n - 2)
     top = rng.normal(0.0, 0.5) + drops.sum() / 2
     slopes = top - np.concatenate(([0.0], np.cumsum(drops)))
-    return lc.OmegaVector(lc.omega1_from_constraint(slopes, sample), slopes)
+    return lc.OmegaVector(lc.ObjectiveWorkspace(sample).restore_intercept(
+        slopes), slopes)
 
 
 def test_criterion_1_derivative_correctness():
@@ -58,13 +59,14 @@ def test_criterion_1_derivative_correctness():
                 sample = lc.validate_sample(
                     np.cumsum(rng.uniform(0.2, 1.0, n)))
                 omega = feasible_omega(sample, rng)
-                grad = lc.grad_phi(omega, sample)
+                ws = lc.ObjectiveWorkspace(sample)
+                grad = ws.gradient(omega)
                 want_g = grad_reference(omega.intercept, omega.slopes,
                                         sample.knots)
                 rel_g = np.max(np.abs(grad - want_g)
                                / np.maximum(1.0, np.abs(want_g)))
                 assert rel_g < 1e-6, f"gradient mismatch {rel_g} at n={n}"
-                curv = lc.diag_curvature(omega, sample, floored=False)
+                curv = ws.derivatives(omega)[1]
                 want_c = curvature_reference(omega.intercept, omega.slopes,
                                              sample.knots)
                 rel_c = np.max(np.abs(curv - want_c)
@@ -162,16 +164,18 @@ def test_criterion_4_solver_invariants(invariant_corpus):
         # exact cone membership holds at accepted iterates
         sample = lc.validate_sample(lc.sample_true(lc.NORMAL, 41, 40))
         config = lc.IcmConfig()
+        ws = lc.ObjectiveWorkspace(sample)
         omega = lc.initialize_normal(sample)
-        state = IcmState(omega, lc.phi(omega, sample))
         for _ in range(10):
-            cand = lc.icm_candidate(state, sample, config)
+            cand = _candidate_slopes(ws, omega)
             try:
-                accepted, _ = lc.line_search(state, cand, config, sample)
+                slopes, intercept, _, _ = _line_search(
+                    ws, omega.slopes, np.longdouble(ws.phi(omega)), cand,
+                    config.max_halvings)
             except NoAscent:
                 break
-            assert np.all(accepted.slopes[:-1] >= accepted.slopes[1:])
-            state = IcmState(accepted, lc.phi(accepted, sample))
+            assert np.all(slopes[:-1] >= slopes[1:])
+            omega = lc.OmegaVector(float(intercept), slopes)
 
 
 def test_active_set_matches_icm_floor_fits(invariant_corpus):

@@ -166,6 +166,20 @@ class TestFitCommand:
         artifact = json.loads(out.read_text())
         assert artifact["converged"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1"],
+        ["--max-iter", "0"]])
+    def test_bad_solver_setting_exits_one(self, tmp_path, capsys, argv):
+        data = tmp_path / "d.txt"
+        data.write_text("0\n1\n2.5\n")
+        out = tmp_path / "f.json"
+        code = cli.main(["fit", "--input", str(data), "--output", str(out),
+                         *argv])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("logcave: ")
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         data = tmp_path / "d.txt"
@@ -338,6 +352,14 @@ class TestSimulateCommand:
         cells = [line.split(",")[:2] for line in lines[1:]]
         assert cells == [["normal", "25"], ["normal", "40"],
                          ["gamma", "25"], ["gamma", "40"]]
+
+    def test_bad_tolerance_rejected(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--sizes", "30", "--replications", "1",
+                         "--tolerance", "nan",
+                         "--output", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("logcave: ")
 
     def test_unknown_density_rejected(self, tmp_path):
         code = cli.main(["simulate", "--densities", "cauchy",

@@ -13,7 +13,8 @@ def random_feasible_omega(sample, rng, scale=1.0):
     drops = rng.uniform(0.05, 0.6, sample.n - 2)
     top = rng.normal(0.0, scale) + drops.sum() / 2
     slopes = top - np.concatenate(([0.0], np.cumsum(drops)))
-    return lc.OmegaVector(lc.omega1_from_constraint(slopes, sample), slopes)
+    return lc.OmegaVector(lc.ObjectiveWorkspace(sample).restore_intercept(
+        slopes), slopes)
 
 
 def random_fit(n, seed, scale=1.0):
@@ -180,6 +181,26 @@ class TestCdfQuantile:
         for x in np.linspace(lo, hi, 17)[1:-1]:
             assert fit.cdf(float(x)) == pytest.approx(
                 quad_pdf(fit, lo, float(x)), abs=1e-8)
+
+    def test_cdf_across_a_segment_rising_by_more_than_690(self):
+        # e^{theta_left} underflows to 0 and e^t overflows on the first
+        # segment, so its partial integrals need the e^{theta_right} form
+        knots = np.array([0.0, 1.0, 2.0])
+        raw = np.array([-750.0, 0.0, -1.0])
+        masses = np.array([-np.expm1(-750.0) / 750.0, -np.expm1(-1.0)])
+        theta = raw - np.log(masses.sum())
+        fit = lc.LogConcaveFit(lc.SortedSample(knots), theta)
+        assert fit.slopes[0] * (knots[1] - knots[0]) >= 690.0
+        steep = np.linspace(690.0 / 750.0, 1.0, 200)
+        grid = np.sort(np.concatenate((np.linspace(-0.5, 2.5, 301), steep)))
+        values = fit.cdf(grid)
+        assert np.all(np.isfinite(values))
+        assert np.all(np.diff(values) >= 0)
+        cumulative = np.concatenate(([0.0], np.cumsum(masses))) / masses.sum()
+        assert fit.cdf(knots) == pytest.approx(cumulative, rel=1e-14)
+        for x in steep[::20]:
+            assert fit.cdf(float(x)) == pytest.approx(
+                quad_pdf(fit, 0.0, float(x)), rel=1e-8, abs=1e-12)
 
     def test_cdf_nondecreasing(self):
         fit = random_fit(25, seed=5, scale=3.0)

@@ -91,8 +91,8 @@ def test_rho0_matches_masked_evaluation_bit_for_bit(dtype):
     t = np.concatenate((np.array(edges, dtype=dtype),
                         np.random.default_rng(3).normal(0, 2, 500).astype(dtype),
                         np.linspace(-3e-4, 3e-4, 301, dtype=dtype)))
-    got = _rho0(t, SERIES_THRESHOLD)
-    want = rho0_masked(t, SERIES_THRESHOLD)
+    got = _rho0(t)
+    want = rho0_masked(t)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

@@ -1,5 +1,7 @@
 """Solver behavior: initialization, candidates, line search, full fits."""
 
+import dataclasses
+import math
 import time
 import warnings
 
@@ -13,7 +15,7 @@ from logcave import solver
 from logcave._rho import segment_triples
 from logcave.errors import NoAscent
 from logcave.objective import ObjectiveWorkspace
-from logcave.solver import IcmState, _line_search
+from logcave.solver import _candidate_slopes, _line_search
 
 from oracles import (
     backtracking_line_search,
@@ -56,20 +58,90 @@ class TestInitialization:
                 1.0, abs=1e-12)
 
 
+def icm_candidate(ws, omega):
+    """ICM's surrogate maximizer from omega, with its intercept restored."""
+    slopes = _candidate_slopes(ws, omega)
+    return lc.OmegaVector(float(ws.restore_intercept(slopes)), slopes)
+
+
+def icm_step(ws, omega, config):
+    """One ICM iteration from omega: (accepted point, step size); raises
+    NoAscent when no step increases the objective."""
+    slopes, intercept, _, k = _line_search(
+        ws, omega.slopes, np.longdouble(ws.phi(omega)),
+        _candidate_slopes(ws, omega), config.max_halvings)
+    return lc.OmegaVector(float(intercept), slopes), 0.5 ** k
+
+
+class TestConfig:
+    @pytest.mark.parametrize("setting", [
+        {"phi_tolerance": math.nan}, {"phi_tolerance": math.inf},
+        {"phi_tolerance": -1.0}, {"phi_tolerance": 0.0},
+        {"phi_tolerance": "1e-8"}, {"phi_tolerance": True},
+        {"max_iterations": 0}, {"max_iterations": 10.0},
+        {"max_iterations": math.nan}, {"max_iterations": True},
+        {"max_halvings": -1}, {"max_halvings": 2.5},
+        {"max_halvings": math.inf}])
+    def test_bad_settings_raise(self, setting):
+        with pytest.raises(lc.BadConfig, match=next(iter(setting))):
+            lc.IcmConfig(**setting)
+
+    def test_config_error_is_a_value_error(self):
+        # callers that catch ValueError keep working
+        assert issubclass(lc.BadConfig, lc.LogcaveError)
+        with pytest.raises(ValueError):
+            lc.IcmConfig(phi_tolerance=math.nan)
+
+    def test_numpy_and_extreme_settings_accepted(self):
+        config = lc.IcmConfig(phi_tolerance=np.float64(1e-300),
+                              max_iterations=np.int64(5), max_halvings=1)
+        assert config.max_iterations == 5
+        lc.IcmConfig(phi_tolerance=1, max_iterations=10 ** 400)
+
+    def test_public_surface(self):
+        # the objective and the ICM steps are reached through
+        # ObjectiveWorkspace and the solver module, not the package
+        for name in ("phi", "grad_phi", "diag_curvature",
+                     "omega1_from_constraint", "icm_candidate",
+                     "line_search", "IcmState"):
+            assert not hasattr(lc, name), name
+        assert [f.name for f in dataclasses.fields(lc.IcmConfig)] == [
+            "phi_tolerance", "max_iterations", "max_halvings"]
+        assert [f.name for f in dataclasses.fields(ObjectiveWorkspace)] == [
+            "sample"]
+        assert not hasattr(ObjectiveWorkspace, "curvature")
+
+
 class TestCandidate:
     def test_fixed_point_at_two_point_optimum(self):
         sample = lc.validate_sample([0.0, 1.0])
         omega = lc.OmegaVector(0.0, [0.0])
-        state = IcmState(omega, lc.phi(omega, sample))
-        cand = lc.icm_candidate(state, sample)
+        cand = icm_candidate(ObjectiveWorkspace(sample), omega)
         assert cand.slopes[0] == pytest.approx(0.0, abs=1e-14)
+
+    def test_curvature_floor_keeps_weights_positive(self, monkeypatch):
+        # a curvature that underflows to zero is raised to the floor, and
+        # only there; the workspace itself returns the exact curvature
+        sample = normal_sample(20, 1)
+        ws = ObjectiveWorkspace(sample)
+        omega = lc.initialize_normal(sample)
+        grad, curv = ws.derivatives(omega)
+        curv = curv.copy()
+        curv[3] = 0.0
+        weights = []
+        monkeypatch.setattr(ws, "derivatives", lambda _: (grad, curv))
+        monkeypatch.setattr(solver, "concave_majorant_slopes",
+                            lambda d, v: weights.append(d) or v / d)
+        _candidate_slopes(ws, omega)
+        floor = solver.CURVATURE_FLOOR * max(1.0, float(curv.max()))
+        assert weights[0][3] == floor
+        assert np.array_equal(np.delete(weights[0], 3), np.delete(curv, 3))
 
     def test_candidate_feasible_and_normalized(self):
         for seed in range(3):
             sample = normal_sample(40, seed)
             omega = lc.initialize_normal(sample)
-            state = IcmState(omega, lc.phi(omega, sample))
-            cand = lc.icm_candidate(state, sample)
+            cand = icm_candidate(ObjectiveWorkspace(sample), omega)
             assert np.all(cand.slopes[:-1] >= cand.slopes[1:])
             theta = lc.theta_from_omega(cand, sample)
             assert lc.normalization_mass(theta, sample) == pytest.approx(
@@ -80,11 +152,11 @@ class TestLineSearch:
     def test_accepts_improving_candidate_at_full_step(self):
         sample = normal_sample(25, 3)
         config = lc.IcmConfig()
+        ws = ObjectiveWorkspace(sample)
         omega = lc.initialize_normal(sample)
-        state = IcmState(omega, lc.phi(omega, sample))
-        cand = lc.icm_candidate(state, sample)
-        if lc.phi(cand, sample) > state.phi:
-            accepted, step = lc.line_search(state, cand, config, sample)
+        cand = icm_candidate(ws, omega)
+        if ws.phi(cand) > ws.phi(omega):
+            accepted, step = icm_step(ws, omega, config)
             assert step == 1.0
             assert np.array_equal(accepted.slopes, cand.slopes)
 
@@ -110,10 +182,11 @@ class TestLineSearch:
     def test_zero_direction_raises_no_ascent(self):
         sample = normal_sample(10, 4)
         config = lc.IcmConfig()
+        ws = ObjectiveWorkspace(sample)
         omega = lc.initialize_normal(sample)
-        state = IcmState(omega, lc.phi(omega, sample))
         with pytest.raises(NoAscent):
-            lc.line_search(state, omega, config, sample)
+            _line_search(ws, omega.slopes, np.longdouble(ws.phi(omega)),
+                         omega.slopes, config.max_halvings)
 
 
 class TestWarmStartedLineSearch:
@@ -280,19 +353,18 @@ class TestFit:
         config = lc.IcmConfig()
         for seed in range(3):
             sample = normal_sample(40, 600 + seed)
+            ws = ObjectiveWorkspace(sample)
             omega = lc.initialize_normal(sample)
-            state = IcmState(omega, lc.phi(omega, sample))
             for _ in range(15):
-                cand = lc.icm_candidate(state, sample, config)
                 try:
-                    accepted, _ = lc.line_search(state, cand, config, sample)
+                    accepted, _ = icm_step(ws, omega, config)
                 except NoAscent:
                     break
                 assert np.all(accepted.slopes[:-1] >= accepted.slopes[1:])
                 theta = lc.theta_from_omega(accepted, sample)
                 assert lc.normalization_mass(theta, sample) == pytest.approx(
                     1.0, abs=1e-10)
-                state = IcmState(accepted, lc.phi(accepted, sample))
+                omega = accepted
 
     def test_fit_output_normalized(self):
         for seed in range(4):
@@ -373,11 +445,10 @@ class TestKktAgainstBlockLoop:
     @staticmethod
     def _agree(slopes, sample, block_tol):
         slopes = np.asarray(slopes, float)
-        omega = lc.OmegaVector(lc.omega1_from_constraint(slopes, sample),
-                               slopes)
+        ws = ObjectiveWorkspace(sample)
+        omega = lc.OmegaVector(ws.restore_intercept(slopes), slopes)
         fast = lc.kkt_residual(omega, sample, block_tol=block_tol)
-        slow = kkt_residual_blocks(lc.grad_phi(omega, sample), slopes,
-                                   block_tol)
+        slow = kkt_residual_blocks(ws.gradient(omega), slopes, block_tol)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12 * sample.n)
         return fast
 
@@ -466,8 +537,7 @@ class TestActiveSet:
                                200)
         sample = lc.validate_sample(draws)
         icm, icm_report = lc.fit_icm(sample)
-        derivatives = solver._directional_derivatives(
-            icm.theta, sample.gaps, solver.SERIES_THRESHOLD)
+        derivatives = solver._directional_derivatives(icm.theta, sample.gaps)
         assert derivatives.max() <= 0.0
         assert icm_report.certificate > 1e-4
         assert lc.fit(sample)[1].certificate < 1e-8
@@ -503,8 +573,8 @@ class TestActiveSet:
         # again, and the solver stops instead of cycling to the cap
         derivatives = solver._directional_derivatives
 
-        def misleading(theta, gaps, series_threshold):
-            out = derivatives(theta, gaps, series_threshold).copy()
+        def misleading(theta, gaps):
+            out = derivatives(theta, gaps).copy()
             out[50] += 1.0
             return out
 
@@ -559,8 +629,7 @@ class TestNewton:
     def test_matches_dense_solve_when_the_full_step_overflows(self, size):
         start, c, blocks = _kink_case(size, 4)
         start[:] = -30.0  # tiny masses: the Newton step is about 1e13 long
-        st = solver.SERIES_THRESHOLD
-        args = (c.tolist(), blocks.tolist(), st)
+        args = (c.tolist(), blocks.tolist())
         _, grad, diag, off = solver._kink_pass(start.tolist(), *args)
         delta = solver._thomas(diag, off, grad)
         full = [e + d for e, d in zip(start.tolist(), delta)]
