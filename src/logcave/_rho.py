@@ -45,6 +45,11 @@ def _coefficients():
 
 _C0, _C1, _C2 = _coefficients()
 
+# the same coefficients as (3, 1) columns (c0_k, c1_k, c2_k) from the
+# highest k down, for ``_horner3``
+_COLUMNS = np.stack((_C0, _C1, _C2))[:, ::-1].T[:, :, None]
+_CUBIC_COLUMNS = _COLUMNS[-4:]
+
 # Positive arguments above this would overflow e^t inside the weighted
 # forms; the segment helpers switch to expressions in e^{theta_right}.
 _BIG_T = 690.0
@@ -57,34 +62,43 @@ def _horner(coeff, t):
     return out
 
 
+def _horner3(columns, t):
+    """The three series on one Horner pass over t: ``columns`` holds (3, 1)
+    coefficient columns from the highest power down, and the result is
+    (3, t.size).  Every element gets the same multiply, then add, as in
+    ``_horner``."""
+    out = np.empty((3, t.size), dtype=t.dtype)
+    out[:] = columns[0]
+    for c in columns[1:]:
+        out *= t
+        out += c
+    return out
+
+
 def _rho_triple(t):
-    """(rho, rho', rho'') elementwise on a 1-D float array, one pass."""
-    r0 = np.empty_like(t)
-    r1 = np.empty_like(t)
-    r2 = np.empty_like(t)
+    """(rho, rho', rho'') elementwise on a 1-D float array, as the rows of
+    one (3, t.size) array.
+
+    The full series runs over the whole array, which costs less than
+    selecting its regime first; the cubic and the closed-form regimes then
+    overwrite their entries, where the series may have overflowed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _horner3(_COLUMNS, t)
     a = np.abs(t)
     tiny = a < SERIES_THRESHOLD
-    big = a >= _SERIES_CUT
-    mid = ~(tiny | big)
     if tiny.any():
-        x = t[tiny]
-        r0[tiny] = _horner(_C0[:4], x)
-        r1[tiny] = _horner(_C1[:4], x)
-        r2[tiny] = _horner(_C2[:4], x)
-    if mid.any():
-        x = t[mid]
-        r0[mid] = _horner(_C0, x)
-        r1[mid] = _horner(_C1, x)
-        r2[mid] = _horner(_C2, x)
+        r[:, tiny] = _horner3(_CUBIC_COLUMNS, t[tiny])
+    big = a >= _SERIES_CUT
     if big.any():
         x = t[big]
         with np.errstate(over="ignore"):
             em = np.expm1(x)
             xx = x * x
-            r0[big] = em / x
-            r1[big] = (em * (x - 1.0) + x) / xx
-            r2[big] = (em * (xx - 2.0 * x + 2.0) + x * (x - 2.0)) / (xx * x)
-    return r0, r1, r2
+            r[0, big] = em / x
+            r[1, big] = (em * (x - 1.0) + x) / xx
+            r[2, big] = (em * (xx - 2.0 * x + 2.0) + x * (x - 2.0)) / (xx * x)
+    return r
 
 
 def _steep(t, el, er):

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from logcave._rho import SERIES_THRESHOLD, segment_masses, segment_triples
+from logcave._rho import (_C0, _C1, _C2, _SERIES_CUT, SERIES_THRESHOLD,
+                          _horner, segment_masses, segment_triples)
 from logcave.errors import NoAscent, NonPositiveWeight
 from logcave.solver import (_DECREMENT_FLOOR, _MAX_NEWTON_STEPS,
                             _UNCHECKED_DECREMENT)
@@ -22,6 +23,32 @@ def rho_of(t):
     nz = t != 0
     out[nz] = np.expm1(t[nz]) / t[nz]
     return out
+
+
+def rho_triple_per_order(t):
+    """(rho, rho', rho'') on a 1-D float array with one Horner pass per
+    order and regime, the same arithmetic per element as the library's
+    stacked pass."""
+    r0 = np.empty_like(t)
+    r1 = np.empty_like(t)
+    r2 = np.empty_like(t)
+    a = np.abs(t)
+    tiny = a < SERIES_THRESHOLD
+    big = a >= _SERIES_CUT
+    mid = ~(tiny | big)
+    for mask, terms in ((tiny, 4), (mid, None)):
+        x = t[mask]
+        r0[mask] = _horner(_C0[:terms], x)
+        r1[mask] = _horner(_C1[:terms], x)
+        r2[mask] = _horner(_C2[:terms], x)
+    x = t[big]
+    with np.errstate(over="ignore"):
+        em = np.expm1(x)
+        xx = x * x
+        r0[big] = em / x
+        r1[big] = (em * (x - 1.0) + x) / xx
+        r2[big] = (em * (xx - 2.0 * x + 2.0) + x * (x - 2.0)) / (xx * x)
+    return r0, r1, r2
 
 
 def rho0_masked(t):
@@ -352,11 +379,56 @@ def newton_dense(eta, c, blocks, config):
     return eta, value, steps
 
 
+def adaptive_simpson(func, lo, hi, tol, max_depth=48):
+    """Batched adaptive Simpson over the intervals [lo_i, hi_i].
+
+    Each interval gets a share of ``tol`` proportional to its width and is
+    bisected until the local Richardson error estimate is below its share.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    keep = hi > lo
+    a, b = lo[keep], hi[keep]
+    if a.size == 0:
+        return 0.0
+    mid = 0.5 * (a + b)
+    fa, fm, fb = func(a), func(mid), func(b)
+    coarse = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    budget = tol * (b - a) / float(np.sum(b - a))
+
+    total = 0.0
+    for _ in range(max_depth):
+        if a.size == 0:
+            break
+        lmid = 0.5 * (a + mid)
+        rmid = 0.5 * (mid + b)
+        flm = func(lmid)
+        frm = func(rmid)
+        left = (mid - a) * (fa + 4.0 * flm + fm) / 6.0
+        right = (b - mid) * (fm + 4.0 * frm + fb) / 6.0
+        refined = left + right
+        err = (refined - coarse) / 15.0
+        done = (np.abs(err) <= budget) | ((b - a) <= 1e-14 * np.abs(a + b))
+        total += float(np.sum(refined[done] + err[done]))
+        live = ~done
+        a = np.concatenate((a[live], mid[live]))
+        b = np.concatenate((mid[live], b[live]))
+        fa = np.concatenate((fa[live], fm[live]))
+        fb = np.concatenate((fm[live], fb[live]))
+        mid = np.concatenate((lmid[live], rmid[live]))
+        fm = np.concatenate((flm[live], frm[live]))
+        coarse = np.concatenate((left[live], right[live]))
+        budget = np.concatenate((budget[live] / 2.0, budget[live] / 2.0))
+    else:
+        total += float(np.sum(coarse))
+    return total
+
+
 def hellinger_unique_cuts(fit_obj, density, tol=1e-9):
-    """Hellinger distance by the library's quadrature, with the cuts built
-    as the sorted distinct values of the knots clipped to the common
-    support, plus its ends where no clipped knot reaches them."""
-    from logcave.simulation import SQRT2, _adaptive_simpson
+    """Hellinger distance by adaptive Simpson, with the cuts built as the
+    sorted distinct values of the knots clipped to the common support, plus
+    its ends where no clipped knot reaches them."""
+    from logcave.simulation import SQRT2
 
     lo = max(float(fit_obj.sample.knots[0]), float(density.support[0]))
     hi = min(float(fit_obj.sample.knots[-1]), float(density.support[1]))
@@ -372,5 +444,29 @@ def hellinger_unique_cuts(fit_obj, density, tol=1e-9):
         with np.errstate(over="ignore"):
             return np.exp(0.5 * (fit_obj.log_pdf(x) + density.log_pdf(x)))
 
-    overlap = _adaptive_simpson(integrand, cuts[:-1], cuts[1:], tol)
+    overlap = adaptive_simpson(integrand, cuts[:-1], cuts[1:], tol)
+    return math.sqrt(min(max(2.0 * (1.0 - overlap), 0.0), 2.0))
+
+
+def hellinger_quad(fit_obj, density):
+    """Hellinger distance by scipy's quad on every piece between the knots
+    and the density's kinks, within the common support."""
+    from scipy.integrate import quad
+    from logcave.simulation import SQRT2
+
+    lo = max(float(fit_obj.sample.knots[0]), float(density.support[0]))
+    hi = min(float(fit_obj.sample.knots[-1]), float(density.support[1]))
+    if not hi > lo:
+        return SQRT2
+    cuts = np.unique(np.clip(np.concatenate((fit_obj.sample.knots,
+                                             density.kinks)), lo, hi))
+    knots, theta = fit_obj.sample.knots, fit_obj.theta
+
+    def integrand(x):
+        return math.exp(0.5 * (float(np.interp(x, knots, theta))
+                               + float(density.log_pdf(x))))
+
+    overlap = math.fsum(quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13,
+                             limit=200)[0]
+                        for a, b in zip(cuts[:-1], cuts[1:]))
     return math.sqrt(min(max(2.0 * (1.0 - overlap), 0.0), 2.0))

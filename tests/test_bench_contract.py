@@ -46,3 +46,8 @@ def test_fit_large_report_is_strict_and_complete(trace, kind):
 @RUNS
 def test_mc_small_report_is_strict_and_complete(trace, kind):
     _check_report("mc_small", trace, kind)
+
+
+@RUNS
+def test_cli_roundtrip_report_is_strict_and_complete(trace, kind):
+    _check_report("cli_roundtrip", trace, kind)

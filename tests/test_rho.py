@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from logcave import rho_family
-from logcave._rho import (SERIES_THRESHOLD, _rho0, segment_triple,
-                          segment_triples)
+from logcave._rho import (SERIES_THRESHOLD, _rho0, _rho_triple,
+                          segment_triple, segment_triples)
 
-from oracles import rho0_masked
+from oracles import rho0_masked, rho_triple_per_order
 
 mpmath.mp.dps = 40
 
@@ -105,6 +105,20 @@ def _regime_grid():
     rng = np.random.default_rng(5)
     scales = [rng.normal(0.0, s, 200) for s in (1e-5, 1e-2, 0.2, 2.0, 50.0)]
     return np.concatenate([np.array(edges)] + scales)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stacked_horner_matches_per_order_passes_bit_for_bit(dtype):
+    # beyond |t| = 1e23 the series overflows before its entries are
+    # overwritten by the closed forms
+    t = np.concatenate((_regime_grid(), [1e30, -1e30, 1e300, -1e300]))
+    t = t.astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _rho_triple(t)
+        want = rho_triple_per_order(t)
+    assert got.dtype == dtype
+    for order in range(3):
+        assert np.array_equal(got[order], want[order], equal_nan=True), order
 
 
 def test_scalar_segment_kernel_matches_rho_family():

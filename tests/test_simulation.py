@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import logcave as lc
-from logcave.simulation import pdf_mass, _adaptive_simpson
+from logcave.simulation import pdf_mass, _gauss_kronrod
 
-from oracles import hellinger_unique_cuts
+from oracles import hellinger_quad, hellinger_unique_cuts
 
 
 class TestReferencePdfs:
@@ -77,21 +77,21 @@ class TestSamplers:
         assert abs(np.mean(draws ** 3) - 1.0) < 0.02
 
 
-class TestAdaptiveSimpson:
+class TestGaussKronrod:
     def test_polynomial_exact(self):
-        got = _adaptive_simpson(lambda x: x ** 3 - x + 2.0,
-                                np.array([0.0]), np.array([2.0]), 1e-12)
+        got = _gauss_kronrod(lambda x: x ** 3 - x + 2.0,
+                             np.array([0.0]), np.array([2.0]), 1e-12)
         assert got == pytest.approx(4.0 - 2.0 + 4.0, abs=1e-12)
 
     def test_exp_segments(self):
         cuts = np.linspace(0.0, 1.0, 7)
-        got = _adaptive_simpson(np.exp, cuts[:-1], cuts[1:], 1e-10)
+        got = _gauss_kronrod(np.exp, cuts[:-1], cuts[1:], 1e-10)
         assert got == pytest.approx(np.e - 1.0, abs=1e-9)
 
     def test_against_scipy_on_oscillatory(self):
         from scipy.integrate import quad
         f = lambda x: np.exp(-x) * np.cos(5 * x) ** 2
-        got = _adaptive_simpson(f, np.array([0.0]), np.array([4.0]), 1e-10)
+        got = _gauss_kronrod(f, np.array([0.0]), np.array([4.0]), 1e-10)
         want, _ = quad(f, 0.0, 4.0, epsabs=1e-12)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -141,14 +141,86 @@ class TestHellinger:
 
     def test_cuts_match_clipped_unique_knots(self):
         # every fit against every density, so that the common support
-        # clips the knots at either end in some pairs
+        # clips the knots at either end in some pairs.  The oracle is
+        # adaptive Simpson cut at every knot
         densities = list(lc.REFERENCE_DENSITIES.values())
         for seed, source in enumerate(densities):
             data = lc.sample_true(source, seed, 60)
             fit, _ = lc.fit(lc.validate_sample(data))
             for density in densities:
-                assert (lc.hellinger(fit, density)
-                        == hellinger_unique_cuts(fit, density))
+                got = lc.hellinger(fit, density)
+                assert got == pytest.approx(
+                    hellinger_unique_cuts(fit, density), abs=1e-8)
+                assert got == pytest.approx(
+                    hellinger_quad(fit, density), abs=1e-10)
+
+    @pytest.mark.parametrize("seed, spawn_key", [(11, (1, 25, 4)),
+                                                 (10, (1, 50, 1))])
+    def test_laplace_kink_near_a_cut(self, seed, spawn_key):
+        # fits with a kink of their own near 0, so that the Laplace kink
+        # can fall before the first Gauss-Kronrod node of a piece; without
+        # the declared kink the second misses by 5e-4
+        density = lc.DOUBLE_EXPONENTIAL
+        assert density.kinks == (0.0,)
+        data = lc.sample_true(density, np.random.SeedSequence(
+            seed, spawn_key=spawn_key), spawn_key[1])
+        fit, _ = lc.fit(lc.validate_sample(data, jitter_ties=True))
+        assert lc.hellinger(fit, density) == pytest.approx(
+            hellinger_quad(fit, density), abs=1e-10)
+
+    @pytest.mark.parametrize("name, seed, key", [
+        ("normal", 7, (0, 5000)),
+        ("beta", 5, (3, 5000)),
+        ("beta", 356, (3, 1000))], ids=["normal-5000", "beta-5000",
+                                        "beta-1000"])
+    def test_large_fits_match_quad(self, name, seed, key):
+        # both beta samples reach within 1e-3 of 1, where sqrt(1 - x) is
+        # nearly singular at the last cut
+        density = lc.REFERENCE_DENSITIES[name]
+        data = lc.sample_true(density, np.random.SeedSequence(
+            seed, spawn_key=key), key[1])
+        fit, _ = lc.fit(lc.validate_sample(data))
+        if name == "beta":
+            assert 1.0 - fit.sample.knots[-1] < 1e-3
+        assert lc.hellinger(fit, density) == pytest.approx(
+            hellinger_quad(fit, density), abs=1e-10)
+
+    def test_cuts_only_where_the_fit_bends(self):
+        # cutting at each of the 4 999 knots would take at least 15 points
+        # per piece, 74 985 in all
+        data = lc.sample_true(lc.NORMAL, np.random.SeedSequence(
+            7, spawn_key=(0, 5000)), 5000)
+        fit, _ = lc.fit(lc.validate_sample(data))
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return lc.NORMAL.log_pdf(x)
+
+        density = lc.ReferenceDensity("counted", counted, lc.NORMAL.support)
+        assert lc.hellinger(fit, density) == lc.hellinger(fit, lc.NORMAL)
+        assert sum(points) < 7500
+
+    def test_fit_from_theta_alone_is_cut_at_every_knot(self):
+        data = lc.sample_true(lc.GAMMA, 4, 80)
+        fit, _ = lc.fit(lc.validate_sample(data))
+        bare = lc.LogConcaveFit(fit.sample, fit.theta)
+        assert lc.hellinger(bare, lc.GAMMA) == pytest.approx(
+            hellinger_quad(fit, lc.GAMMA), abs=1e-10)
+
+    def test_kinks_outside_the_support_change_nothing(self):
+        data = lc.sample_true(lc.NORMAL, 6, 50)
+        fit, _ = lc.fit(lc.validate_sample(data))
+        outside = lc.ReferenceDensity("normal-far-kinks", lc.NORMAL.log_pdf,
+                                      lc.NORMAL.support, kinks=(-50.0, 50.0))
+        assert lc.hellinger(fit, outside) == lc.hellinger(fit, lc.NORMAL)
+
+    @pytest.mark.parametrize("kinks", [(math.nan,), (0.0, math.inf),
+                                       (-math.inf,), ("0.5",), (None,), 0.5])
+    def test_bad_kinks_rejected(self, kinks):
+        with pytest.raises(lc.LogcaveError, match="kinks"):
+            lc.ReferenceDensity("bad", lc.NORMAL.log_pdf, lc.NORMAL.support,
+                                kinks=kinks)
 
     def test_bounds_respected(self):
         fit = lc.LogConcaveFit(lc.validate_sample([0.0, 1.0]), np.zeros(2))
