@@ -63,11 +63,11 @@ def _horner(coeff, t):
 
 
 def _horner3(columns, t):
-    """The three series on one Horner pass over t: ``columns`` holds (3, 1)
-    coefficient columns from the highest power down, and the result is
-    (3, t.size).  Every element gets the same multiply, then add, as in
-    ``_horner``."""
-    out = np.empty((3, t.size), dtype=t.dtype)
+    """Up to three series on one Horner pass over t: ``columns`` holds
+    (orders, 1) coefficient columns from the highest power down, and the
+    result is (orders, t.size).  Every element gets the same multiply,
+    then add, as in ``_horner``."""
+    out = np.empty((columns.shape[1], t.size), dtype=t.dtype)
     out[:] = columns[0]
     for c in columns[1:]:
         out *= t
@@ -75,20 +75,20 @@ def _horner3(columns, t):
     return out
 
 
-def _rho_triple(t):
+def _rho_triple(t, orders=3):
     """(rho, rho', rho'') elementwise on a 1-D float array, as the rows of
-    one (3, t.size) array.
+    one (3, t.size) array; with orders=2, only the first two rows.
 
     The full series runs over the whole array, which costs less than
     selecting its regime first; the cubic and the closed-form regimes then
     overwrite their entries, where the series may have overflowed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _horner3(_COLUMNS, t)
+        r = _horner3(_COLUMNS[:, :orders], t)
     a = np.abs(t)
     tiny = a < SERIES_THRESHOLD
     if tiny.any():
-        r[:, tiny] = _horner3(_CUBIC_COLUMNS, t[tiny])
+        r[:, tiny] = _horner3(_CUBIC_COLUMNS[:, :orders], t[tiny])
     big = a >= _SERIES_CUT
     if big.any():
         x = t[big]
@@ -97,7 +97,9 @@ def _rho_triple(t):
             xx = x * x
             r[0, big] = em / x
             r[1, big] = (em * (x - 1.0) + x) / xx
-            r[2, big] = (em * (xx - 2.0 * x + 2.0) + x * (x - 2.0)) / (xx * x)
+            if orders > 2:
+                r[2, big] = ((em * (xx - 2.0 * x + 2.0) + x * (x - 2.0))
+                             / (xx * x))
     return r
 
 
@@ -214,19 +216,21 @@ def segment_masses(theta, dx):
 def segment_triples(theta, dx):
     """(m0, m1, m2) with m_k = e^{theta_left} * rho^(k)(t) * dx, sharing one
     exponential and one branch classification across the three orders."""
+    return _segment_moments(theta, dx, 3)
+
+
+def _segment_moments(theta, dx, orders):
+    """The first ``orders`` of ``segment_triples``'s (m0, m1, m2), as the
+    rows of one array."""
     t = np.diff(theta)
-    r0, r1, r2 = _rho_triple(t)
-    el = np.exp(theta[:-1])
-    w = el * dx
+    w = np.exp(theta[:-1]) * dx
     big = t >= _BIG_T
     if not big.any():
-        return r0 * w, r1 * w, r2 * w
+        return _rho_triple(t, orders) * w
     with np.errstate(invalid="ignore", over="ignore"):
-        parts = r0 * w, r1 * w, r2 * w
-    dxb = dx[big]
-    for part, steep in zip(parts, _steep(t[big], el[big],
-                                         np.exp(theta[1:][big]))):
-        part[big] = steep * dxb
+        parts = _rho_triple(t, orders) * w
+    steep = _steep(t[big], np.exp(theta[:-1][big]), np.exp(theta[1:][big]))
+    parts[:, big] = np.stack(steep[:orders]) * dx[big]
     return parts
 
 

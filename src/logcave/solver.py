@@ -12,17 +12,24 @@ kink's hat function.  Its Hessian is tridiagonal, so a Newton step costs
 O(|K|): one pass over the segments on Python floats gives the objective,
 the gradient and both bands of the Hessian, and a Thomas sweep solves for
 the step.  The systems are small (a few kinks on Monte Carlo samples), so
-this avoids numpy's per-call overhead.  The active-set iteration (Duembgen, Huesler & Rufibach, "Active
-set and EM algorithms for log-concave densities based on complete and
-censored data", arXiv:0707.4643) maximizes L over K; when the maximizer is
-not concave it steps towards it as far as concavity allows and drops the
-kinks that became tight, and otherwise it adds the knot with the largest
-directional derivative along -(x - x_j)_+.  When no such derivative
-exceeds the tolerance the fit is the MLE to that tolerance: that is the
-Duembgen-Rufibach characterization (Bernoulli 15(1), 2009), and the
-largest derivative relative to the range is reported as the certificate.
-The fit runs on standardized data, so its tolerances are scale-free and
-its result is affine-equivariant.
+this avoids numpy's per-call overhead.
+
+The active-set iteration (Duembgen, Huesler & Rufibach, "Active set and EM
+algorithms for log-concave densities based on complete and censored data",
+arXiv:0707.4643) maximizes L over K.  When the maximizer is not concave it
+steps towards it as far as concavity allows and drops the kinks that
+became tight; otherwise it adds knots with a directional derivative along
+-(x - x_j)_+ above the tolerance.  The method adds the one knot with the
+largest derivative.  This module's variant adds the best knot of every
+block between kinks, which takes fewer iterations, each paying one O(n)
+pass of derivatives and one Newton solve.  A fresh kink that the
+solution wants convex is dropped at once, and the first add that fails to
+raise the objective switches the run to the method's one knot per
+iteration.  When no derivative exceeds the tolerance the fit is the MLE to
+that tolerance: that is the Duembgen-Rufibach characterization (Bernoulli
+15(1), 2009), and the largest derivative relative to the range is reported
+as the certificate.  The fit runs on standardized data, so its tolerances
+are scale-free and its result is affine-equivariant.
 
 ``fit_icm`` replaces the concave objective at each iteration by a diagonal
 quadratic surrogate at the current point and maximizes it over the cone of
@@ -66,7 +73,7 @@ from .errors import (
     NonPositiveWeight,
     StepFailure,
 )
-from ._rho import segment_triple, segment_triples
+from ._rho import _segment_moments, segment_triple
 from .model import LogConcaveFit, OmegaVector, theta_from_omega
 from .objective import ObjectiveWorkspace
 
@@ -80,7 +87,10 @@ CERTIFICATE_FLOOR = 1e-12
 # too small for the values to resolve, and the iteration is well inside the
 # region where Newton converges quadratically.  It stops after a step with
 # a decrement below _DECREMENT_FLOOR, or when the decrement stops shrinking.
-_DECREMENT_FLOOR = 1e-20
+# The decrement about squares per step, so the one after a step below 1e-16
+# is rounding noise; at 1e-14 the final certificates of small samples rise
+# above their rounding level.
+_DECREMENT_FLOOR = 1e-16
 _UNCHECKED_DECREMENT = 1e-12
 _MAX_NEWTON_STEPS = 100
 
@@ -133,12 +143,13 @@ class IcmReport:
     (log-likelihood - n on the unit-mass manifold).  For ``fit`` an
     iteration is one Newton solve over the current kinks and its step size
     the fraction of the way to that solution taken (1.0 when no kink was
-    dropped); for ``fit_icm`` it is one line search.  certificate is the
-    largest directional derivative along -(x - x_j)_+ relative to the
-    sample range, zero at the MLE, for the returned fit.  initializer is
-    ICM's starting point ("normal", or "uniform" after a restart); the
-    active set's is "linear": it starts from the uniform density, and its
-    first iterate is the best log-linear one.
+    dropped); for ``fit_icm`` it is one line search.  ``fit`` may add
+    several kinks in one iteration, so kinks_added may exceed iterations.
+    certificate is the largest directional derivative along -(x - x_j)_+
+    relative to the sample range, zero at the MLE, for the returned fit.
+    initializer is ICM's starting point ("normal", or "uniform" after a
+    restart); the active set's is "linear": it starts from the uniform
+    density, and its first iterate is the best log-linear one.
     """
 
     phi_trace: np.ndarray
@@ -335,20 +346,28 @@ def _kinks_of(slopes):
     return np.concatenate(([0], np.flatnonzero(drop) + 1, [slopes.size]))
 
 
-def _directional_derivatives(theta, gaps):
+def _empirical_terms(gaps):
+    """gap_k times the share of observations at or right of knot k+1: the
+    part of the directional derivatives that does not depend on theta."""
+    n = gaps.size + 1
+    return gaps * np.arange(n - 1, 0, -1) / n
+
+
+def _directional_derivatives(theta, gaps, empirical=None):
     """Derivative of the objective per observation along -(x - x_j)_+ at
     every knot j, for the density with knot log-densities theta.
 
     D_j = sum_{k>=j} gap_k (m1_k + T_{k+1} - W_{k+1}), with T and W the
-    model and empirical mass at or right of knot k+1.  The MLE has
+    model and empirical mass at or right of knot k+1; ``empirical`` is
+    ``_empirical_terms(gaps)``, computed here when not given.  The MLE has
     D_j <= 0 everywhere, with equality at its kinks.
     """
-    n = theta.size
-    m0, m1, _ = segment_triples(theta, gaps)
+    if empirical is None:
+        empirical = _empirical_terms(gaps)
+    m0, m1 = _segment_moments(theta, gaps, 2)
     model_tail = np.cumsum(m0[::-1])[::-1]
     model_tail = np.append(model_tail[1:], 0.0)
-    empirical_tail = np.arange(n - 1, 0, -1) / n
-    terms = gaps * (m1 + model_tail - empirical_tail)
+    terms = gaps * (m1 + model_tail) - empirical
     return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
 
 
@@ -488,13 +507,15 @@ def _active_set(u, gaps, config):
     span = float(u[-1])
     relative_tolerance = max(config.phi_tolerance, CERTIFICATE_FLOOR)
     tolerance = relative_tolerance * span
+    empirical = _empirical_terms(gaps)
     kinks = np.array([0, n - 1])
     eta = np.full(2, -np.log(span))  # the uniform density
     c, blocks = _kink_system(u, gaps, kinks)
     trace = [_kink_pass(eta.tolist(), c.tolist(), blocks.tolist())[0]]
     steps = []
     newton_steps = added = dropped = 0
-    added_at = -np.inf  # objective when the last kink was added
+    added_at = -np.inf  # objective when kinks were last added
+    batch = True  # add the best knot of every block, not only the best one
     optimal = False  # no knot left to add
     while len(steps) < config.max_iterations:
         psi, value, count = _newton(eta, c, blocks, config)
@@ -505,13 +526,17 @@ def _active_set(u, gaps, config):
         violated = np.flatnonzero(target < -slack)
         if violated.size:
             # the path eta -> psi leaves the cone first where the slope
-            # change of a violated kink reaches zero
+            # change of a violated kink reaches zero.  A kink within the
+            # slack of straight, as a freshly added one is, is tight at
+            # step 0: its ratio would be rounding noise.
             ratios = now[violated] / (now[violated] - target[violated])
-            first = violated[np.argmin(ratios)]
+            ratios[now[violated] <= slack] = 0.0
             step = min(max(float(np.min(ratios)), 0.0), 1.0)
             eta = eta + step * (psi - eta)
-            tight = _slope_changes(eta, blocks)[0] <= 0.0
-            tight[first] = True
+            # a kink the solution wants concave is not tight, even where
+            # its slope change is still zero, as a fresh one's is at step 0
+            tight = (_slope_changes(eta, blocks)[0] <= 0.0) & (target < 0.0)
+            tight[violated[ratios <= step]] = True
             keep = np.concatenate(([True], ~tight, [True]))
             dropped += int(np.count_nonzero(tight))
             if step > 0.0:
@@ -525,25 +550,41 @@ def _active_set(u, gaps, config):
         steps.append(1.0)
         trace.append(value)
         theta = np.interp(u, u[kinks], eta)
-        candidates = _directional_derivatives(theta, gaps)
+        candidates = _directional_derivatives(theta, gaps, empirical)
         candidates[kinks] = -np.inf
         best = int(np.argmax(candidates))
         if not candidates[best] > tolerance:
             optimal = True
             break
-        # anti-cycling: in exact arithmetic every added kink raises the
-        # objective strictly; once one does not, the derivatives that
-        # select kinks are below what rounding resolves
-        if not value > added_at or len(steps) >= config.max_iterations:
+        # anti-cycling: in exact arithmetic every add raises the objective
+        # strictly.  The first add that did not falls back to one knot per
+        # iteration; once a single add does not either, the derivatives
+        # that select kinks are below what rounding resolves.
+        if not value > added_at:
+            if not batch:
+                break
+            batch = False
+        if len(steps) >= config.max_iterations:
             break
         added_at = value
-        kinks = np.insert(kinks, np.searchsorted(kinks, best), best)
+        add = np.zeros(n, dtype=bool)
+        if batch:
+            # the best knot of every block between kinks, where above the
+            # tolerance: this repo's variant of the method, which adds
+            # only the best knot overall
+            maxima = np.maximum.reduceat(candidates[:-1], kinks[:-1])
+            add[:-1] = candidates[:-1] == np.repeat(maxima, np.diff(kinks))
+            add &= candidates > tolerance
+        else:
+            add[best] = True
+        added += int(np.count_nonzero(add))
+        add[kinks] = True
+        kinks = np.flatnonzero(add)
         eta = theta[kinks]
-        added += 1
         c, blocks = _kink_system(u, gaps, kinks)
     theta = np.interp(u, u[kinks], eta)
-    certificate = _certificate(_directional_derivatives(theta, gaps),
-                               gaps, kinks)
+    certificate = _certificate(
+        _directional_derivatives(theta, gaps, empirical), gaps, kinks)
     # the certificate also holds the derivatives at the kinks, which only
     # the Newton solution makes vanish
     converged = optimal and certificate <= relative_tolerance
@@ -559,8 +600,8 @@ def fit(sample, config=None):
 
     Returns (LogConcaveFit, IcmReport).  ``converged`` means the
     certificate is within max(phi_tolerance, 1e-12).  A run that stops
-    short, at max_iterations outer iterations or when adding a kink no
-    longer raises the objective, returns its last iterate with
+    short, at max_iterations outer iterations or when adding a single kink
+    no longer raises the objective, returns its last iterate with
     ``converged`` false.
     """
     config = config or IcmConfig()

@@ -11,9 +11,11 @@ import numpy as np
 
 from logcave._rho import (_C0, _C1, _C2, _SERIES_CUT, SERIES_THRESHOLD,
                           _horner, segment_masses, segment_triples)
+from logcave import solver
 from logcave.errors import NoAscent, NonPositiveWeight
-from logcave.solver import (_DECREMENT_FLOOR, _MAX_NEWTON_STEPS,
-                            _UNCHECKED_DECREMENT)
+from logcave.solver import (_CONCAVITY_SLACK, _DECREMENT_FLOOR,
+                            _MAX_NEWTON_STEPS, _UNCHECKED_DECREMENT,
+                            CERTIFICATE_FLOOR)
 
 
 def rho_of(t):
@@ -377,6 +379,76 @@ def newton_dense(eta, c, blocks, config):
         if decrement < _DECREMENT_FLOOR:
             break
     return eta, value, steps
+
+
+def active_set_single_add(u, gaps, config):
+    """The active-set iteration as Duembgen, Huesler and Rufibach state it,
+    adding one knot per iteration: the one with the largest directional
+    derivative.  It stops once an add does not raise the objective, and
+    takes a step towards the Newton solution for every violated kink,
+    however small.  A drop-in for ``solver._active_set``."""
+    n = u.size
+    span = float(u[-1])
+    relative_tolerance = max(config.phi_tolerance, CERTIFICATE_FLOOR)
+    tolerance = relative_tolerance * span
+    empirical = solver._empirical_terms(gaps)
+    kinks = np.array([0, n - 1])
+    eta = np.full(2, -np.log(span))
+    c, blocks = solver._kink_system(u, gaps, kinks)
+    trace = [solver._kink_pass(eta.tolist(), c.tolist(), blocks.tolist())[0]]
+    steps = []
+    newton_steps = added = dropped = 0
+    added_at = -np.inf
+    optimal = False
+    while len(steps) < config.max_iterations:
+        psi, value, count = solver._newton(eta, c, blocks, config)
+        newton_steps += count
+        now, _ = solver._slope_changes(eta, blocks)
+        target, slopes = solver._slope_changes(psi, blocks)
+        slack = _CONCAVITY_SLACK * max(1.0, float(np.max(np.abs(slopes))))
+        violated = np.flatnonzero(target < -slack)
+        if violated.size:
+            ratios = now[violated] / (now[violated] - target[violated])
+            first = violated[np.argmin(ratios)]
+            step = min(max(float(np.min(ratios)), 0.0), 1.0)
+            eta = eta + step * (psi - eta)
+            tight = solver._slope_changes(eta, blocks)[0] <= 0.0
+            tight[first] = True
+            keep = np.concatenate(([True], ~tight, [True]))
+            dropped += int(np.count_nonzero(tight))
+            if step > 0.0:
+                steps.append(step)
+                trace.append(solver._kink_pass(eta.tolist(), c.tolist(),
+                                               blocks.tolist())[0])
+            kinks, eta = kinks[keep], eta[keep]
+            c, blocks = solver._kink_system(u, gaps, kinks)
+            continue
+        eta = psi
+        steps.append(1.0)
+        trace.append(value)
+        theta = np.interp(u, u[kinks], eta)
+        candidates = solver._directional_derivatives(theta, gaps, empirical)
+        candidates[kinks] = -np.inf
+        best = int(np.argmax(candidates))
+        if not candidates[best] > tolerance:
+            optimal = True
+            break
+        if not value > added_at or len(steps) >= config.max_iterations:
+            break
+        added_at = value
+        kinks = np.insert(kinks, np.searchsorted(kinks, best), best)
+        eta = theta[kinks]
+        added += 1
+        c, blocks = solver._kink_system(u, gaps, kinks)
+    theta = np.interp(u, u[kinks], eta)
+    certificate = solver._certificate(
+        solver._directional_derivatives(theta, gaps, empirical), gaps, kinks)
+    return kinks, eta, blocks, {
+        "phi_trace": np.asarray(trace), "step_sizes": np.asarray(steps),
+        "converged": optimal and certificate <= relative_tolerance,
+        "iterations": len(steps), "certificate": certificate,
+        "newton_steps": newton_steps, "kinks_added": added,
+        "kinks_dropped": dropped}
 
 
 def adaptive_simpson(func, lo, hi, tol, max_depth=48):

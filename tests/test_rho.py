@@ -6,7 +6,7 @@ import pytest
 
 from logcave import rho_family
 from logcave._rho import (SERIES_THRESHOLD, _rho0, _rho_triple,
-                          segment_triple, segment_triples)
+                          _segment_moments, segment_triple, segment_triples)
 
 from oracles import rho0_masked, rho_triple_per_order
 
@@ -119,6 +119,31 @@ def test_stacked_horner_matches_per_order_passes_bit_for_bit(dtype):
     assert got.dtype == dtype
     for order in range(3):
         assert np.array_equal(got[order], want[order], equal_nan=True), order
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_first_two_orders_match_the_triple_bit_for_bit(dtype):
+    t = np.concatenate((_regime_grid(), [1e30, -1e30, 1e300, -1e300]))
+    t = t.astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = _rho_triple(t, 2)
+        triple = _rho_triple(t)
+    assert pair.shape == (2, t.size) and pair.dtype == dtype
+    assert np.array_equal(pair, triple[:2], equal_nan=True)
+
+
+def test_segment_pairs_match_segment_triples_bit_for_bit():
+    # random segments, including steep ones past the t >= 690 rewrite
+    rng = np.random.default_rng(9)
+    theta = np.cumsum(rng.normal(0.0, 2.0, 400))
+    theta[100:103] = [-700.0, -5.0, 800.0]
+    dx = rng.uniform(0.01, 3.0, theta.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = _segment_moments(theta, dx, 2)
+        triple = segment_triples(theta, dx)
+    assert np.any(np.diff(theta) >= 690.0)
+    for order in range(2):
+        assert np.array_equal(pair[order], triple[order], equal_nan=True)
 
 
 def test_scalar_segment_kernel_matches_rho_family():
