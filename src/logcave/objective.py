@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rho import segment_masses, segment_triples
+from ._rho import _segment_moments, segment_masses
 from .errors import StepFailure
 from .model import theta_from_omega
 
@@ -42,10 +42,10 @@ class ObjectiveWorkspace:
         self.dx = self.sample.gaps
         # coefficient of slope_i in sum(theta): (n-i+1) * gap_i, i = 2..n
         self.linear_weights = np.arange(self.n - 1, 0, -1) * self.dx
-        # extended-precision copies for line-search comparisons, whose
-        # resolvable objective difference sets the solver's accuracy floor
-        self._dx_hi = self.dx.astype(np.longdouble)
-        self._lin_hi = self.linear_weights.astype(np.longdouble)
+        # extended-precision (dx, linear_weights) for ICM's line-search
+        # comparisons, whose resolvable objective difference sets its
+        # accuracy floor; made on the first extended-precision manifold_phi
+        self._high = None
         self.phi_evaluations = 0
 
     def theta(self, omega):
@@ -65,17 +65,18 @@ class ObjectiveWorkspace:
         theta = self.theta(omega)
         if np.max(theta) > THETA_CAP:
             raise StepFailure("theta exceeds the exp overflow cap")
-        # m0/m1/m2: e^{theta_{k-1}} rho^(j)(t_k) dx_k for one shared pass
-        m0, m1, m2 = segment_triples(theta, self.dx)
-        mass = float(np.sum(m0))
-        tail = mass - np.cumsum(m0)  # sum over segments j > k
+        # rows m0, m1 (and m2): e^{theta_{k-1}} rho^(j)(t_k) dx_k for one
+        # shared pass; the gradient alone needs no rho''
+        moments = _segment_moments(theta, self.dx, 3 if with_curvature else 2)
+        mass = float(np.sum(moments[0]))
+        tail = mass - np.cumsum(moments[0])  # sum over segments j > k
         grad = np.empty(self.n)
         grad[0] = self.n * (1.0 - mass)
         grad[1:] = (self.linear_weights
-                    - self.n * self.dx * (tail + m1))
+                    - self.n * self.dx * (tail + moments[1]))
         if not with_curvature:
             return grad, None
-        return grad, self.n * self.dx ** 2 * (tail + m2)
+        return grad, self.n * self.dx ** 2 * (tail + moments[2])
 
     def gradient(self, omega):
         """Length-n gradient; entry 0 is d(phi)/d(omega_1)."""
@@ -104,7 +105,10 @@ class ObjectiveWorkspace:
         """
         self.phi_evaluations += 1
         if dtype is np.longdouble:
-            dx, lin = self._dx_hi, self._lin_hi
+            if self._high is None:
+                self._high = (self.dx.astype(np.longdouble),
+                              self.linear_weights.astype(np.longdouble))
+            dx, lin = self._high
         else:
             dx, lin = self.dx, self.linear_weights
         s = np.asarray(slopes).astype(dtype, copy=False)

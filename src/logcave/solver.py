@@ -31,6 +31,19 @@ that tolerance: that is the Duembgen-Rufibach characterization (Bernoulli
 as the certificate.  The fit runs on standardized data, so its tolerances
 are scale-free and its result is affine-equivariant.
 
+Between Newton solves the kink values, weights and block lengths stay
+lists of Python floats, and the drop step works on them; numpy runs only
+the O(n) work: interpolating theta, the derivative pass and assembling a
+new kink system.  A fit pays one derivative pass per iteration that
+reaches its Newton solution, and after the loop only one pass of segment
+masses that restores the unit-mass intercept.  The certificate reuses the
+loop's last derivative pass, which is at the final theta unless the run
+stopped after a drop step (only at max_iterations); such a run makes one
+more pass, at its final theta normalized to unit mass.  The report's
+``kkt_residual`` takes its slope gradient from the same pass: the gradient
+along slope k is n * sd * (D_{k+1} - D_k) in raw units, with sd the
+sample standard deviation that standardizes the data.
+
 ``fit_icm`` replaces the concave objective at each iteration by a diagonal
 quadratic surrogate at the current point and maximizes it over the cone of
 nonincreasing slopes.  That maximizer is the vector of left-hand slopes of
@@ -73,7 +86,7 @@ from .errors import (
     NonPositiveWeight,
     StepFailure,
 )
-from ._rho import _segment_moments, segment_triple
+from ._rho import _segment_moments, segment_masses, segment_triple
 from .model import LogConcaveFit, OmegaVector, theta_from_omega
 from .objective import ObjectiveWorkspace
 
@@ -150,6 +163,18 @@ class IcmReport:
     initializer is ICM's starting point ("normal", or "uniform" after a
     restart); the active set's is "linear": it starts from the uniform
     density, and its first iterate is the best log-linear one.
+
+    phi_evaluations counts objective evaluations: for ``fit`` the passes
+    over the kinks that evaluate the kink objective (each Newton trial and
+    each step towards a solution, the starting point included), for
+    ``fit_icm`` the evaluations of the line searches, its starting points
+    included.  stop_reason says why the run stopped: "tolerance" (``fit``:
+    no directional derivative above the tolerance; ``fit_icm``: the
+    relative objective change), "no_ascent" (``fit``: a single add did
+    not raise the objective; ``fit_icm``: no step of the line search
+    did), "step_failure" (``fit_icm`` only: a point it could not
+    differentiate) or "max_iterations".  ``fit`` is converged only when
+    it stopped on "tolerance" with a certificate within the tolerance.
     """
 
     phi_trace: np.ndarray
@@ -158,11 +183,12 @@ class IcmReport:
     iterations: int
     kkt_residual: float
     initializer: str = "normal"
-    phi_evaluations: int = 0  # objective evaluations, initializer included
+    phi_evaluations: int = 0
     certificate: float = 0.0
     newton_steps: int = 0
     kinks_added: int = 0
     kinks_dropped: int = 0
+    stop_reason: str = "max_iterations"
 
 
 def initialize_normal(sample):
@@ -257,7 +283,8 @@ def _line_search(ws, slopes0, phi0, candidate_slopes, max_halvings,
 
 def _run_icm(ws, omega, config):
     """ICM iterations from omega; returns (last iterate, phi_trace, step
-    sizes, converged), with the iterate's objective last in phi_trace."""
+    sizes, stop reason), with the iterate's objective last in
+    phi_trace."""
     # run with fast double-precision comparisons until they stall or the
     # stopping rule would fire, then confirm and finish in extended
     # precision so the endgame is not limited by double rounding
@@ -265,7 +292,7 @@ def _run_icm(ws, omega, config):
     phi_value, _ = ws.manifold_phi(omega.slopes, dtype)
     trace = [float(phi_value)]
     steps = []
-    converged = False
+    reason = "max_iterations"
     halvings = 0
     for _ in range(config.max_iterations):
         try:
@@ -278,9 +305,10 @@ def _run_icm(ws, omega, config):
                 dtype = np.longdouble
                 phi_value, _ = ws.manifold_phi(omega.slopes, dtype)
                 continue
-            converged = True
+            reason = "no_ascent"
             break
         except StepFailure:
+            reason = "step_failure"
             break
         steps.append(0.5 ** halvings)
         trace.append(float(new_phi))
@@ -292,9 +320,9 @@ def _run_icm(ws, omega, config):
                 dtype = np.longdouble
                 phi_value, _ = ws.manifold_phi(slopes, dtype)
                 continue
-            converged = True
+            reason = "tolerance"
             break
-    return omega, trace, steps, converged
+    return omega, trace, steps, reason
 
 
 def fit_icm(sample, config=None):
@@ -308,7 +336,7 @@ def fit_icm(sample, config=None):
     """
     config = config or IcmConfig()
     ws = ObjectiveWorkspace(sample)
-    omega, trace, steps, converged = _run_icm(ws, _normal_start(ws), config)
+    omega, trace, steps, reason = _run_icm(ws, _normal_start(ws), config)
     initializer = "normal"
     if not steps:
         # the normal start made no progress at all; retry from the uniform
@@ -317,7 +345,7 @@ def fit_icm(sample, config=None):
         uniform0 = OmegaVector(ws.restore_intercept(zero), zero)
         alt = _run_icm(ws, uniform0, config)
         if alt[1][-1] > trace[-1]:
-            omega, trace, steps, converged = alt
+            omega, trace, steps, reason = alt
             initializer = "uniform"
 
     theta = theta_from_omega(omega, sample)
@@ -327,7 +355,7 @@ def fit_icm(sample, config=None):
     report = IcmReport(
         phi_trace=np.asarray(trace),
         step_sizes=np.asarray(steps),
-        converged=converged,
+        converged=reason in ("tolerance", "no_ascent"),
         iterations=len(steps),
         kkt_residual=kkt_residual(omega, sample),
         initializer=initializer,
@@ -335,6 +363,7 @@ def fit_icm(sample, config=None):
         certificate=_certificate(
             _directional_derivatives(theta, sample.gaps),
             sample.gaps, _kinks_of(omega.slopes)),
+        stop_reason=reason,
     )
     return fit_obj, report
 
@@ -380,9 +409,10 @@ def _certificate(derivatives, gaps, kinks):
 
 
 def _kink_system(u, gaps, kinks):
-    """(c, D) of the objective over the values at the kinks: the weight
-    each kink's hat function collects from the observations, and the block
-    lengths.  u are the knot positions from the left end."""
+    """(c, D) of the objective over the values at the kinks, as lists of
+    Python floats: the weight each kink's hat function collects from the
+    observations, and the block lengths.  u are the knot positions from
+    the left end."""
     n = u.size
     lengths = np.diff(kinks)
     blocks = np.add.reduceat(gaps, kinks[:-1])
@@ -392,7 +422,7 @@ def _kink_system(u, gaps, kinks):
     c = (np.bincount(block, 1.0 - right, minlength=kinks.size)
          + np.bincount(block + 1, right, minlength=kinks.size))
     c[-1] += 1.0
-    return c / n, blocks
+    return (c / n).tolist(), blocks.tolist()
 
 
 def _kink_pass(eta, c, blocks):
@@ -447,19 +477,27 @@ def _thomas(diag, off, rhs):
     return out
 
 
+def _floats(values):
+    """A list of Python floats from an array; lists are taken as they are.
+
+    On numpy scalars an overflowing exp warns instead of raising the
+    OverflowError that ``_kink_pass`` catches."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def _newton(eta, c, blocks, config):
     """Maximizer of the kink objective by Newton's method with step
-    halving, from eta; returns (maximizer, objective, Newton steps).
+    halving, from eta; returns (maximizer, objective, Newton steps,
+    objective evaluations), the maximizer as a list.
 
     Each trial point costs one ``_kink_pass``, and an accepted trial's pass
     gives the next step's derivatives.  Steps are accepted on a strict
     increase only: accepting an equal value lets rounding noise keep the
     iteration going without progress."""
-    c = c.tolist()
-    blocks = blocks.tolist()
-    eta = eta.tolist()
+    eta, c, blocks = _floats(eta), _floats(c), _floats(blocks)
     value, grad, diag, off = _kink_pass(eta, c, blocks)
     steps = 0
+    passes = 1
     last = math.inf
     while steps < _MAX_NEWTON_STEPS:
         delta = _thomas(diag, off, grad)
@@ -473,11 +511,13 @@ def _newton(eta, c, blocks, config):
                 break
             eta = [e + d for e, d in zip(eta, delta)]
             value, grad, diag, off = _kink_pass(eta, c, blocks)
+            passes += 1
         else:
             for k in range(config.max_halvings + 1):
                 h = 0.5 ** k
                 trial = [e + h * d for e, d in zip(eta, delta)]
                 point = _kink_pass(trial, c, blocks)
+                passes += 1
                 if point[0] > value:
                     break
             else:
@@ -488,73 +528,83 @@ def _newton(eta, c, blocks, config):
         steps += 1
         if decrement < _DECREMENT_FLOOR:
             break  # the next decrement would be about its square
-    return np.array(eta), value, steps
+    return eta, value, steps, passes
 
 
 def _slope_changes(eta, blocks):
-    """Slope decrease at each interior kink; concave where all are >= 0."""
-    slopes = np.diff(eta) / blocks
-    return slopes[:-1] - slopes[1:], slopes
+    """Slope decrease at each interior kink, concave where all are >= 0,
+    and the slopes; lists of Python floats."""
+    slopes = [(right - left) / dx
+              for left, right, dx in zip(eta, eta[1:], blocks)]
+    return [a - b for a, b in zip(slopes, slopes[1:])], slopes
 
 
 def _active_set(u, gaps, config):
     """Active-set iteration on standardized knots.
 
-    Returns the final kinks, the values there and the block lengths, and
-    the report fields of the run, with phi_trace per observation in
-    standardized units."""
+    Returns the final kinks, the values there and the block lengths, the
+    directional derivatives at the final theta, and the report fields of
+    the run, with phi_trace per observation in standardized units."""
     n = u.size
     span = float(u[-1])
     relative_tolerance = max(config.phi_tolerance, CERTIFICATE_FLOOR)
     tolerance = relative_tolerance * span
     empirical = _empirical_terms(gaps)
     kinks = np.array([0, n - 1])
-    eta = np.full(2, -np.log(span))  # the uniform density
+    eta = [-float(np.log(span))] * 2  # the uniform density
     c, blocks = _kink_system(u, gaps, kinks)
-    trace = [_kink_pass(eta.tolist(), c.tolist(), blocks.tolist())[0]]
+    trace = [_kink_pass(eta, c, blocks)[0]]
+    passes = 1
     steps = []
     newton_steps = added = dropped = 0
-    added_at = -np.inf  # objective when kinks were last added
+    added_at = -math.inf  # objective when kinks were last added
     batch = True  # add the best knot of every block, not only the best one
-    optimal = False  # no knot left to add
+    reason = "max_iterations"
+    derivatives = None  # the derivative pass while it is at the current theta
     while len(steps) < config.max_iterations:
-        psi, value, count = _newton(eta, c, blocks, config)
+        psi, value, count, evaluations = _newton(eta, c, blocks, config)
         newton_steps += count
+        passes += evaluations
         now, _ = _slope_changes(eta, blocks)
         target, slopes = _slope_changes(psi, blocks)
-        slack = _CONCAVITY_SLACK * max(1.0, float(np.max(np.abs(slopes))))
-        violated = np.flatnonzero(target < -slack)
-        if violated.size:
+        slack = _CONCAVITY_SLACK * max(1.0, max(map(abs, slopes)))
+        violated = [k for k, change in enumerate(target) if change < -slack]
+        if violated:
             # the path eta -> psi leaves the cone first where the slope
             # change of a violated kink reaches zero.  A kink within the
             # slack of straight, as a freshly added one is, is tight at
             # step 0: its ratio would be rounding noise.
-            ratios = now[violated] / (now[violated] - target[violated])
-            ratios[now[violated] <= slack] = 0.0
-            step = min(max(float(np.min(ratios)), 0.0), 1.0)
-            eta = eta + step * (psi - eta)
+            ratios = [0.0 if now[k] <= slack
+                      else now[k] / (now[k] - target[k]) for k in violated]
+            step = min(max(min(ratios), 0.0), 1.0)
+            eta = [e + step * (p - e) for e, p in zip(eta, psi)]
             # a kink the solution wants concave is not tight, even where
             # its slope change is still zero, as a fresh one's is at step 0
-            tight = (_slope_changes(eta, blocks)[0] <= 0.0) & (target < 0.0)
-            tight[violated[ratios <= step]] = True
-            keep = np.concatenate(([True], ~tight, [True]))
-            dropped += int(np.count_nonzero(tight))
+            tight = [change <= 0.0 and wanted < 0.0 for change, wanted
+                     in zip(_slope_changes(eta, blocks)[0], target)]
+            for k, ratio in zip(violated, ratios):
+                if ratio <= step:
+                    tight[k] = True
+            dropped += sum(tight)
             if step > 0.0:
                 steps.append(step)
-                trace.append(_kink_pass(eta.tolist(), c.tolist(),
-                                        blocks.tolist())[0])
-            kinks, eta = kinks[keep], eta[keep]
+                trace.append(_kink_pass(eta, c, blocks)[0])
+                passes += 1
+            keep = [True, *(not t for t in tight), True]
+            kinks = kinks[keep]
+            eta = [e for e, kept in zip(eta, keep) if kept]
             c, blocks = _kink_system(u, gaps, kinks)
             continue
         eta = psi
         steps.append(1.0)
         trace.append(value)
         theta = np.interp(u, u[kinks], eta)
-        candidates = _directional_derivatives(theta, gaps, empirical)
+        derivatives = _directional_derivatives(theta, gaps, empirical)
+        candidates = derivatives.copy()
         candidates[kinks] = -np.inf
         best = int(np.argmax(candidates))
         if not candidates[best] > tolerance:
-            optimal = True
+            reason = "tolerance"
             break
         # anti-cycling: in exact arithmetic every add raises the objective
         # strictly.  The first add that did not falls back to one knot per
@@ -562,6 +612,7 @@ def _active_set(u, gaps, config):
         # that select kinks are below what rounding resolves.
         if not value > added_at:
             if not batch:
+                reason = "no_ascent"
                 break
             batch = False
         if len(steps) >= config.max_iterations:
@@ -580,19 +631,25 @@ def _active_set(u, gaps, config):
         added += int(np.count_nonzero(add))
         add[kinks] = True
         kinks = np.flatnonzero(add)
-        eta = theta[kinks]
+        eta = theta[kinks].tolist()
         c, blocks = _kink_system(u, gaps, kinks)
-    theta = np.interp(u, u[kinks], eta)
-    certificate = _certificate(
-        _directional_derivatives(theta, gaps, empirical), gaps, kinks)
+        derivatives = None  # the next Newton solve moves theta
+    if derivatives is None:
+        # the run stopped after a drop step, at kink values whose mass is
+        # not one; the pass is at the density they normalize to
+        theta = np.interp(u, u[kinks], eta)
+        theta -= np.log(np.sum(segment_masses(theta, gaps)))
+        derivatives = _directional_derivatives(theta, gaps, empirical)
+    certificate = _certificate(derivatives, gaps, kinks)
     # the certificate also holds the derivatives at the kinks, which only
     # the Newton solution makes vanish
-    converged = optimal and certificate <= relative_tolerance
-    return kinks, eta, blocks, {
+    converged = reason == "tolerance" and certificate <= relative_tolerance
+    return kinks, eta, blocks, derivatives, {
         "phi_trace": np.asarray(trace), "step_sizes": np.asarray(steps),
         "converged": converged, "iterations": len(steps),
         "certificate": certificate, "newton_steps": newton_steps,
-        "kinks_added": added, "kinks_dropped": dropped}
+        "kinks_added": added, "kinks_dropped": dropped,
+        "phi_evaluations": passes, "stop_reason": reason}
 
 
 def fit(sample, config=None):
@@ -602,7 +659,7 @@ def fit(sample, config=None):
     certificate is within max(phi_tolerance, 1e-12).  A run that stops
     short, at max_iterations outer iterations or when adding a single kink
     no longer raises the objective, returns its last iterate with
-    ``converged`` false.
+    ``converged`` false; the report's stop_reason says which.
     """
     config = config or IcmConfig()
     # standardized positions, measured from the left end: the objective is
@@ -616,26 +673,41 @@ def fit(sample, config=None):
         raise DegenerateVariance(f"sample standard deviation is {sd}")
     gaps = sample.gaps / sd
     u = positions / sd
-    kinks, eta, blocks, run = _active_set(u, gaps, config)
+    kinks, eta, blocks, derivatives, run = _active_set(u, gaps, config)
 
-    ws = ObjectiveWorkspace(sample)
+    n = sample.n
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.minimum.accumulate(
             np.repeat(np.diff(eta) / blocks / sd, np.diff(kinks)))
-        omega = OmegaVector(ws.restore_intercept(slopes), slopes)
-        theta = theta_from_omega(omega, sample)
+        # the unit-mass intercept, computed as
+        # ObjectiveWorkspace.restore_intercept computes it; theta is the
+        # partial sums of the slopes plus the intercept, as
+        # theta_from_omega adds them
+        partial = np.empty(n)
+        partial[0] = 0.0
+        np.cumsum(sample.gaps * slopes, out=partial[1:])
+        shift = partial.max()
+        total = np.sum(segment_masses(partial - shift, sample.gaps))
+        intercept = -(shift + np.log(total))
+        mass = np.exp(intercept + shift) * total
+        theta = partial + intercept
     if not np.all(np.isfinite(theta)):
         raise StepFailure("the fitted log-density is not finite in double "
                           "precision at this data scale")
     fit_obj = LogConcaveFit(sample, theta,
                             log_likelihood=float(np.sum(theta)),
                             slopes=slopes)
+    # the gradient of the raw objective: along the intercept from the
+    # restored mass, along slope k from the derivatives (per observation,
+    # standardized) at the kinks' theta
+    grad = np.empty(n)
+    grad[0] = n * (1.0 - mass)
+    grad[1:] = n * sd * np.diff(derivatives)
     # per observation and standardized -> log-likelihood - n in raw units
-    run["phi_trace"] = sample.n * (run["phi_trace"] - np.log(sd))
+    run["phi_trace"] = n * (run["phi_trace"] - np.log(sd))
     report = IcmReport(
-        kkt_residual=kkt_residual(omega, sample),
+        kkt_residual=_kkt_from_gradient(grad, slopes),
         initializer="linear",
-        phi_evaluations=ws.phi_evaluations,
         **run,
     )
     return fit_obj, report
@@ -656,7 +728,12 @@ def kkt_residual(omega, sample, block_tol=None):
     grad = ws.gradient(omega)
     if abs(grad[0]) > 1e-6 * sample.n:
         raise InfeasiblePoint("the unit-mass side condition does not hold")
+    return _kkt_from_gradient(grad, slopes, block_tol)
 
+
+def _kkt_from_gradient(grad, slopes, block_tol=None):
+    """``kkt_residual`` from the length-n gradient at nonincreasing
+    slopes."""
     if block_tol is None:
         block_tol = 1e-8 * max(1.0, float(np.max(np.abs(slopes))))
     b = grad[1:]

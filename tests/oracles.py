@@ -338,9 +338,12 @@ def kink_objective_dense(eta, c, blocks):
 def newton_dense(eta, c, blocks, config):
     """Newton's method with step halving on the kink objective, with the
     tridiagonal Hessian assembled as a dense matrix and solved by LAPACK;
-    the same step rules as ``solver._newton``.  Returns (maximizer,
-    objective, Newton steps)."""
+    the same step rules as ``solver._newton``, and like it a drop-in that
+    takes arrays or lists.  Returns (maximizer as a list, objective, Newton
+    steps, objective evaluations)."""
+    eta, c, blocks = (np.asarray(v, dtype=float) for v in (eta, c, blocks))
     value = kink_objective_dense(eta, c, blocks)
+    evaluations = 1
     steps = 0
     last = np.inf
     while steps < _MAX_NEWTON_STEPS:
@@ -365,10 +368,12 @@ def newton_dense(eta, c, blocks, config):
                 break
             eta = eta + delta
             value = kink_objective_dense(eta, c, blocks)
+            evaluations += 1
         else:
             for k in range(config.max_halvings + 1):
                 trial = eta + 0.5 ** k * delta
                 trial_value = kink_objective_dense(trial, c, blocks)
+                evaluations += 1
                 if trial_value > value:
                     break
             else:
@@ -378,7 +383,13 @@ def newton_dense(eta, c, blocks, config):
         steps += 1
         if decrement < _DECREMENT_FLOOR:
             break
-    return eta, value, steps
+    return eta.tolist(), value, steps, evaluations
+
+
+def slope_changes(eta, blocks):
+    """Slope decrease at each interior kink, and the slopes, on arrays."""
+    slopes = np.diff(eta) / blocks
+    return slopes[:-1] - slopes[1:], slopes
 
 
 def active_set_single_add(u, gaps, config):
@@ -386,7 +397,9 @@ def active_set_single_add(u, gaps, config):
     adding one knot per iteration: the one with the largest directional
     derivative.  It stops once an add does not raise the objective, and
     takes a step towards the Newton solution for every violated kink,
-    however small.  A drop-in for ``solver._active_set``."""
+    however small.  It keeps its state in numpy arrays and computes the
+    certificate from a derivative pass of its own after the loop, at unit
+    mass.  A drop-in for ``solver._active_set``."""
     n = u.size
     span = float(u[-1])
     relative_tolerance = max(config.phi_tolerance, CERTIFICATE_FLOOR)
@@ -395,16 +408,19 @@ def active_set_single_add(u, gaps, config):
     kinks = np.array([0, n - 1])
     eta = np.full(2, -np.log(span))
     c, blocks = solver._kink_system(u, gaps, kinks)
-    trace = [solver._kink_pass(eta.tolist(), c.tolist(), blocks.tolist())[0]]
+    trace = [solver._kink_pass(eta.tolist(), c, blocks)[0]]
+    passes = 1
     steps = []
     newton_steps = added = dropped = 0
     added_at = -np.inf
-    optimal = False
+    reason = "max_iterations"
     while len(steps) < config.max_iterations:
-        psi, value, count = solver._newton(eta, c, blocks, config)
+        psi, value, count, evaluations = solver._newton(eta, c, blocks, config)
+        psi = np.array(psi)
         newton_steps += count
-        now, _ = solver._slope_changes(eta, blocks)
-        target, slopes = solver._slope_changes(psi, blocks)
+        passes += evaluations
+        now, _ = slope_changes(eta, blocks)
+        target, slopes = slope_changes(psi, blocks)
         slack = _CONCAVITY_SLACK * max(1.0, float(np.max(np.abs(slopes))))
         violated = np.flatnonzero(target < -slack)
         if violated.size:
@@ -412,14 +428,14 @@ def active_set_single_add(u, gaps, config):
             first = violated[np.argmin(ratios)]
             step = min(max(float(np.min(ratios)), 0.0), 1.0)
             eta = eta + step * (psi - eta)
-            tight = solver._slope_changes(eta, blocks)[0] <= 0.0
+            tight = slope_changes(eta, blocks)[0] <= 0.0
             tight[first] = True
             keep = np.concatenate(([True], ~tight, [True]))
             dropped += int(np.count_nonzero(tight))
             if step > 0.0:
                 steps.append(step)
-                trace.append(solver._kink_pass(eta.tolist(), c.tolist(),
-                                               blocks.tolist())[0])
+                trace.append(solver._kink_pass(eta.tolist(), c, blocks)[0])
+                passes += 1
             kinks, eta = kinks[keep], eta[keep]
             c, blocks = solver._kink_system(u, gaps, kinks)
             continue
@@ -431,9 +447,12 @@ def active_set_single_add(u, gaps, config):
         candidates[kinks] = -np.inf
         best = int(np.argmax(candidates))
         if not candidates[best] > tolerance:
-            optimal = True
+            reason = "tolerance"
             break
-        if not value > added_at or len(steps) >= config.max_iterations:
+        if not value > added_at:
+            reason = "no_ascent"
+            break
+        if len(steps) >= config.max_iterations:
             break
         added_at = value
         kinks = np.insert(kinks, np.searchsorted(kinks, best), best)
@@ -441,14 +460,16 @@ def active_set_single_add(u, gaps, config):
         added += 1
         c, blocks = solver._kink_system(u, gaps, kinks)
     theta = np.interp(u, u[kinks], eta)
-    certificate = solver._certificate(
-        solver._directional_derivatives(theta, gaps, empirical), gaps, kinks)
-    return kinks, eta, blocks, {
+    theta -= np.log(np.sum(segment_masses(theta, gaps)))  # unit mass
+    derivatives = solver._directional_derivatives(theta, gaps, empirical)
+    certificate = solver._certificate(derivatives, gaps, kinks)
+    return kinks, eta, blocks, derivatives, {
         "phi_trace": np.asarray(trace), "step_sizes": np.asarray(steps),
-        "converged": optimal and certificate <= relative_tolerance,
+        "converged": reason == "tolerance" and certificate <= relative_tolerance,
         "iterations": len(steps), "certificate": certificate,
         "newton_steps": newton_steps, "kinks_added": added,
-        "kinks_dropped": dropped}
+        "kinks_dropped": dropped, "phi_evaluations": passes,
+        "stop_reason": reason}
 
 
 def adaptive_simpson(func, lo, hi, tol, max_depth=48):

@@ -138,6 +138,8 @@ class TestFitCommand:
         assert artifact["n"] == 2
         assert artifact["converged"] is True
         assert np.max(np.abs(np.asarray(artifact["theta"]))) < 1e-6
+        # the report's stop reason is kept off the artifact
+        assert "stop_reason" not in artifact
 
     def test_ties_without_jitter_fail_with_value(self, tmp_path, capsys):
         data = tmp_path / "d.txt"

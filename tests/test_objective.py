@@ -86,6 +86,17 @@ class TestGradient:
             assert np.max(np.abs(got - want)
                           / np.maximum(1.0, np.abs(want))) < 1e-6
 
+    def test_equals_the_gradient_of_derivatives_bit_for_bit(self):
+        # the gradient alone takes two orders of the segment moments, which
+        # are the first two of the three that derivatives takes
+        rng = np.random.default_rng(17)
+        for n in (2, 7, 300):
+            sample = lc.validate_sample(np.cumsum(rng.uniform(0.2, 1.0, n)))
+            ws = Workspace(sample)
+            omega = off_cone_omega(sample, rng)
+            assert np.array_equal(ws.gradient(omega),
+                                  ws.derivatives(omega)[0])
+
 
 class TestCurvature:
     def test_two_point_uniform_value(self):
@@ -166,3 +177,18 @@ def test_workspace_is_reusable_and_consistent():
     ws.derivatives(b)
     assert np.array_equal(ga, ws.gradient(a))
     assert np.array_equal(da, ws.derivatives(a)[1])
+
+
+def test_long_double_copies_are_made_on_first_use():
+    # kkt_residual builds a workspace that never compares values in
+    # extended precision; only ICM's endgame needs the copies
+    rng = np.random.default_rng(21)
+    sample = lc.validate_sample(np.cumsum(rng.uniform(0.2, 1.0, 10)))
+    omega = random_feasible_omega(sample, rng)
+    ws = Workspace(sample)
+    ws.restore_intercept(omega.slopes)
+    ws.gradient(omega)
+    assert ws._high is None
+    first = ws.manifold_phi(omega.slopes)
+    assert [a.dtype for a in ws._high] == [np.longdouble] * 2
+    assert ws.manifold_phi(omega.slopes) == first

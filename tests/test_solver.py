@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import logcave as lc
 from logcave import solver
-from logcave._rho import segment_triples
+from logcave._rho import segment_masses, segment_triples
 from logcave.errors import NoAscent
 from logcave.objective import ObjectiveWorkspace
 from logcave.solver import _candidate_slopes, _line_search
@@ -692,6 +692,167 @@ class TestActiveSet:
         assert report.converged
 
 
+def _density_samples(sizes, seed=17):
+    return [lc.validate_sample(lc.sample_true(
+        density, np.random.SeedSequence(seed, spawn_key=(index, n)), n),
+        jitter_ties=True)
+        for index, density in enumerate(lc.REFERENCE_DENSITIES.values())
+        for n in sizes]
+
+
+class TestFitFinish:
+    """What ``fit`` does after the active-set loop: the certificate and the
+    KKT residual from the loop's last derivative pass, the intercept from
+    one pass of segment masses, and the stop reason."""
+
+    def test_kkt_residual_matches_the_public_one(self):
+        # the report takes its slope gradient from the derivative pass at
+        # the standardized kink values, the public function from the
+        # returned fit; they differ by rounding only, also where a capped
+        # run stopped after a drop step, away from unit mass
+        capped = [(sample, lc.IcmConfig(max_iterations=cap))
+                  for sample in _density_samples((50, 1000), seed=18)
+                  for cap in (2, 3, 5)]
+        cases = [(sample, None) for sample in
+                 _density_samples((25, 50, 200, 1000, 10000))] + capped
+        assert any(lc.fit(*case)[1].step_sizes[-1] < 1.0 for case in capped)
+        for sample, config in cases:
+            fit, report = lc.fit(sample, config)
+            omega = lc.OmegaVector(fit.theta[0], fit.slopes)
+            assert np.array_equal(lc.theta_from_omega(omega, sample),
+                                  fit.theta)
+            assert abs(report.kkt_residual - lc.kkt_residual(omega, sample)
+                       ) <= 1e-12 * sample.n
+            # fit restores the intercept with the workspace's arithmetic
+            assert ObjectiveWorkspace(sample).restore_intercept(
+                fit.slopes) == fit.theta[0]
+
+    def test_certificate_equals_one_recomputed_from_the_fit(self,
+                                                            monkeypatch):
+        # the certificate reuses the loop's last derivative pass, which must
+        # be the pass at the returned kinks and values, on every exit; a
+        # run that stopped after a drop step makes a pass of its own, at
+        # those values normalized to unit mass
+        active_set = solver._active_set
+        runs = []
+
+        def recorded(u, gaps, config):
+            result = active_set(u, gaps, config)
+            runs.append((u, gaps, result))
+            return result
+
+        monkeypatch.setattr(solver, "_active_set", recorded)
+        for sample in _density_samples((25, 200, 2000)):
+            for config in (None, lc.IcmConfig(max_iterations=1),
+                           lc.IcmConfig(max_iterations=2),
+                           lc.IcmConfig(max_iterations=5)):
+                _, report = lc.fit(sample, config)
+                u, gaps, (kinks, eta, _, derivatives, run) = runs[-1]
+                theta = np.interp(u, u[kinks], eta)
+                if report.step_sizes[-1] < 1.0:
+                    theta -= np.log(np.sum(segment_masses(theta, gaps)))
+                want = solver._directional_derivatives(theta, gaps)
+                assert np.array_equal(derivatives, want)
+                assert report.certificate == solver._certificate(
+                    want, gaps, kinks)
+        reasons = {run["stop_reason"] for *_, (*_, run) in runs}
+        assert reasons == {"tolerance", "max_iterations"}
+        assert any(run["step_sizes"][-1] < 1.0 for *_, (*_, run) in runs)
+
+    @pytest.mark.parametrize("n, seed", [(25, 1), (200, 2), (5000, 3)])
+    def test_finishing_costs_no_extra_pass(self, monkeypatch, n, seed):
+        # a cost guard without a wall clock: a converged fit makes one
+        # derivative pass per unit step, runs no rho'' and builds no
+        # workspace
+        def refused(*args, **kwargs):
+            raise AssertionError("called by fit")
+
+        from logcave import _rho, objective
+        monkeypatch.setattr(objective.ObjectiveWorkspace, "__post_init__",
+                            refused)
+        monkeypatch.setattr(solver, "kkt_residual", refused)
+        monkeypatch.setattr(_rho, "segment_triples", refused)
+        moments = solver._segment_moments
+        orders = []
+
+        def counted_moments(theta, dx, order):
+            orders.append(order)
+            return moments(theta, dx, order)
+
+        monkeypatch.setattr(solver, "_segment_moments", counted_moments)
+        derivatives = solver._directional_derivatives
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return derivatives(*args)
+
+        monkeypatch.setattr(solver, "_directional_derivatives", counted)
+        _, report = lc.fit(normal_sample(n, seed))
+        assert report.converged
+        assert len(calls) == np.count_nonzero(report.step_sizes == 1.0)
+        assert orders == [2] * len(calls)
+
+    def test_phi_evaluations_count_kink_passes(self, monkeypatch):
+        kink_pass = solver._kink_pass
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return kink_pass(*args)
+
+        monkeypatch.setattr(solver, "_kink_pass", counted)
+        for config in (None, lc.IcmConfig(max_iterations=3)):
+            calls.clear()
+            _, report = lc.fit(normal_sample(200, 4), config)
+            assert report.phi_evaluations == len(calls)
+            assert report.phi_evaluations > report.newton_steps
+
+    def test_fit_stop_reasons(self, monkeypatch):
+        sample = normal_sample(200, 7)
+        _, report = lc.fit(sample)
+        assert (report.stop_reason, report.converged) == ("tolerance", True)
+        for cap in (1, 2, 3):
+            _, report = lc.fit(sample, lc.IcmConfig(max_iterations=cap))
+            assert report.stop_reason == "max_iterations"
+            assert report.iterations == cap and not report.converged
+        # a derivative that reports a gain the objective does not have
+        derivatives = solver._directional_derivatives
+
+        def misleading(theta, gaps, empirical):
+            out = derivatives(theta, gaps, empirical).copy()
+            out[50] += 1.0
+            return out
+
+        monkeypatch.setattr(solver, "_directional_derivatives", misleading)
+        _, report = lc.fit(sample)
+        assert (report.stop_reason, report.converged) == ("no_ascent", False)
+
+    def test_icm_stop_reasons(self, monkeypatch):
+        sample = normal_sample(50, 3)
+        _, report = lc.fit_icm(sample)
+        assert (report.stop_reason, report.converged) == ("tolerance", True)
+        _, report = lc.fit_icm(sample, lc.IcmConfig(max_iterations=2))
+        assert (report.stop_reason, report.converged) == ("max_iterations",
+                                                          False)
+
+        def no_ascent(*args, **kwargs):
+            raise NoAscent("no step")
+
+        monkeypatch.setattr(solver, "_line_search", no_ascent)
+        _, report = lc.fit_icm(sample)
+        assert (report.stop_reason, report.converged) == ("no_ascent", True)
+        assert report.iterations == 0
+
+        def step_failure(*args, **kwargs):
+            raise lc.StepFailure("no derivatives")
+
+        monkeypatch.setattr(solver, "_candidate_slopes", step_failure)
+        _, report = lc.fit_icm(sample)
+        assert (report.stop_reason, report.converged) == ("step_failure",
+                                                          False)
+
+
 def _kink_case(size, seed):
     """(start, c, blocks) of a kink system with ``size`` random kinks on a
     normal sample, started from the uniform density as ``fit`` starts."""
@@ -706,10 +867,11 @@ def _kink_case(size, seed):
 
 
 def _assert_newtons_agree(start, c, blocks, config):
-    eta, value, steps = solver._newton(start, c, blocks, config)
-    want_eta, want_value, want_steps = newton_dense(start, c, blocks, config)
+    eta, value, steps, _ = solver._newton(start, c, blocks, config)
+    want_eta, want_value, want_steps, _ = newton_dense(start, c, blocks,
+                                                       config)
     assert value == pytest.approx(want_value, rel=1e-12)
-    assert np.max(np.abs(eta - want_eta)) <= 1e-8
+    assert np.max(np.abs(np.subtract(eta, want_eta))) <= 1e-8
     # the two solves round differently, and the last step taken can sit at
     # the rounding floor of the gradient
     assert abs(steps - want_steps) <= 1
@@ -736,11 +898,10 @@ class TestNewton:
     def test_matches_dense_solve_when_the_full_step_overflows(self, size):
         start, c, blocks = _kink_case(size, 4)
         start[:] = -30.0  # tiny masses: the Newton step is about 1e13 long
-        args = (c.tolist(), blocks.tolist())
-        _, grad, diag, off = solver._kink_pass(start.tolist(), *args)
+        _, grad, diag, off = solver._kink_pass(start.tolist(), c, blocks)
         delta = solver._thomas(diag, off, grad)
         full = [e + d for e, d in zip(start.tolist(), delta)]
-        assert solver._kink_pass(full, *args)[0] == -np.inf
+        assert solver._kink_pass(full, c, blocks)[0] == -np.inf
         assert _assert_newtons_agree(start, c, blocks, lc.IcmConfig()) > 0
 
     @pytest.mark.parametrize("size", [2, 5, 64, 512])
@@ -755,12 +916,13 @@ class TestNewton:
     def test_start_that_overflows_takes_no_step(self):
         start, c, blocks = _kink_case(5, 6)
         start[2] = 720.0
-        eta, value, steps = solver._newton(start, c, blocks, lc.IcmConfig())
-        assert (value, steps) == (-np.inf, 0)
+        eta, value, steps, passes = solver._newton(start, c, blocks,
+                                                   lc.IcmConfig())
+        assert (value, steps, passes) == (-np.inf, 0, 1)
         assert np.array_equal(eta, start)
         with np.errstate(over="ignore", invalid="ignore"):
             assert newton_dense(start, c, blocks, lc.IcmConfig())[1:] == (
-                -np.inf, 0)
+                -np.inf, 0, 1)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 17, 512])
     def test_thomas_sweep_matches_dense_solve(self, size):
